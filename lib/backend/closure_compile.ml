@@ -50,11 +50,11 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
   | Op.Div_i8 -> fun regs -> s regs a (S.div ~width:8 (g regs b) (g regs c))
   | Op.Div_i16 -> fun regs -> s regs a (S.div ~width:16 (g regs b) (g regs c))
   | Op.Div_i32 -> fun regs -> s regs a (S.div ~width:32 (g regs b) (g regs c))
-  | Op.Div_i64 -> fun regs -> s regs a (S.div ~width:64 (g regs b) (g regs c))
+  | Op.Div_i64 -> fun regs -> s regs a (S.div64 (g regs b) (g regs c))
   | Op.Rem_i8 -> fun regs -> s regs a (S.rem ~width:8 (g regs b) (g regs c))
   | Op.Rem_i16 -> fun regs -> s regs a (S.rem ~width:16 (g regs b) (g regs c))
   | Op.Rem_i32 -> fun regs -> s regs a (S.rem ~width:32 (g regs b) (g regs c))
-  | Op.Rem_i64 -> fun regs -> s regs a (S.rem ~width:64 (g regs b) (g regs c))
+  | Op.Rem_i64 -> fun regs -> s regs a (S.rem64 (g regs b) (g regs c))
   | Op.And64 -> fun regs -> s regs a (Int64.logand (g regs b) (g regs c))
   | Op.Or64 -> fun regs -> s regs a (Int64.logor (g regs b) (g regs c))
   | Op.Xor64 -> fun regs -> s regs a (Int64.logxor (g regs b) (g regs c))
@@ -69,23 +69,23 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
   | Op.AShr64 ->
     fun regs -> s regs a (Int64.shift_right (g regs b) (Int64.to_int (g regs c) land 63))
   | Op.AddChk_i32 -> fun regs -> s regs a (S.add_chk ~width:32 (g regs b) (g regs c))
-  | Op.AddChk_i64 -> fun regs -> s regs a (S.add_chk ~width:64 (g regs b) (g regs c))
+  | Op.AddChk_i64 -> fun regs -> s regs a (S.add_chk64 (g regs b) (g regs c))
   | Op.SubChk_i32 -> fun regs -> s regs a (S.sub_chk ~width:32 (g regs b) (g regs c))
-  | Op.SubChk_i64 -> fun regs -> s regs a (S.sub_chk ~width:64 (g regs b) (g regs c))
+  | Op.SubChk_i64 -> fun regs -> s regs a (S.sub_chk64 (g regs b) (g regs c))
   | Op.MulChk_i32 -> fun regs -> s regs a (S.mul_chk ~width:32 (g regs b) (g regs c))
-  | Op.MulChk_i64 -> fun regs -> s regs a (S.mul_chk ~width:64 (g regs b) (g regs c))
+  | Op.MulChk_i64 -> fun regs -> s regs a (S.mul_chk64 (g regs b) (g regs c))
   | Op.OvfAdd_i32 ->
     fun regs -> s regs a (S.bool_i64 (S.add_ovf ~width:32 (g regs b) (g regs c)))
   | Op.OvfAdd_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.add_ovf ~width:64 (g regs b) (g regs c)))
+    fun regs -> s regs a (S.bool_i64 (S.add_ovf64 (g regs b) (g regs c)))
   | Op.OvfSub_i32 ->
     fun regs -> s regs a (S.bool_i64 (S.sub_ovf ~width:32 (g regs b) (g regs c)))
   | Op.OvfSub_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.sub_ovf ~width:64 (g regs b) (g regs c)))
+    fun regs -> s regs a (S.bool_i64 (S.sub_ovf64 (g regs b) (g regs c)))
   | Op.OvfMul_i32 ->
     fun regs -> s regs a (S.bool_i64 (S.mul_ovf ~width:32 (g regs b) (g regs c)))
   | Op.OvfMul_i64 ->
-    fun regs -> s regs a (S.bool_i64 (S.mul_ovf ~width:64 (g regs b) (g regs c)))
+    fun regs -> s regs a (S.bool_i64 (S.mul_ovf64 (g regs b) (g regs c)))
   | Op.FAdd -> fun regs -> sf regs a (gf regs b +. gf regs c)
   | Op.FSub -> fun regs -> sf regs a (gf regs b -. gf regs c)
   | Op.FMul -> fun regs -> sf regs a (gf regs b *. gf regs c)
@@ -207,146 +207,15 @@ let step_of mem (i : B.insn) : Bytes.t -> unit =
     ignore (d, e);
     invalid_arg "Closure_compile.step_of: control or call instruction"
 
-(* Calls resolve their runtime target variant once at compile time. *)
+(* Calls resolve their runtime target once at compile time. A call
+   whose result is discarded passes a negative destination. *)
 let call_step (prog : B.t) (i : B.insn) : Bytes.t -> unit =
   let a = i.B.a and b = i.B.b and c = i.B.c and d = i.B.d and e = i.B.e in
-  let fn = prog.B.rt_table.(Int64.to_int i.B.lit) in
-  match (i.B.op, fn) with
-  | Op.CallV0, Rt_fn.F0 f -> fun _ -> ignore (f ())
-  | Op.CallV1, Rt_fn.F1 f -> fun regs -> ignore (f (g regs a))
-  | Op.CallV2, Rt_fn.F2 f -> fun regs -> ignore (f (g regs a) (g regs b))
-  | Op.CallV3, Rt_fn.F3 f -> fun regs -> ignore (f (g regs a) (g regs b) (g regs c))
-  | Op.CallV4, Rt_fn.F4 f ->
-    fun regs -> ignore (f (g regs a) (g regs b) (g regs c) (g regs d))
-  | Op.CallV5, Rt_fn.F5 f ->
-    fun regs -> ignore (f (g regs a) (g regs b) (g regs c) (g regs d) (g regs e))
-  | Op.CallR0, Rt_fn.F0 f -> fun regs -> s regs a (f ())
-  | Op.CallR1, Rt_fn.F1 f -> fun regs -> s regs a (f (g regs b))
-  | Op.CallR2, Rt_fn.F2 f -> fun regs -> s regs a (f (g regs b) (g regs c))
-  | Op.CallR3, Rt_fn.F3 f -> fun regs -> s regs a (f (g regs b) (g regs c) (g regs d))
-  | Op.CallR4, Rt_fn.F4 f ->
-    fun regs -> s regs a (f (g regs b) (g regs c) (g regs d) (g regs e))
-  | _ -> invalid_arg "Closure_compile.call_step: arity mismatch"
-
-(* Superinstruction fusion: the closure backend's analogue of machine
-   code keeping a producer's result in a register for its consumer.
-   The fused closure computes the first instruction's result into an
-   unboxed local, still writes its register slot (other readers may
-   exist), and feeds the consumer without a second dispatch. *)
-let fused_pair mem (i1 : B.insn) (i2 : B.insn) : (Bytes.t -> unit) option =
-  let open Op in
-  match (i1.B.op, i2.B.op) with
-  | Mov, Mov ->
-    let a1 = i1.B.a and b1 = i1.B.b and a2 = i2.B.a and b2 = i2.B.b in
-    Some
-      (fun regs ->
-        s regs a1 (g regs b1);
-        s regs a2 (g regs b2))
-  | LoadIdx64, consumer -> (
-    let dst = i1.B.a and base = i1.B.b and idx = i1.B.c in
-    let scale = B.unpack_scale i1.B.lit and offset = B.unpack_offset i1.B.lit in
-    let load regs = A.get_i64 mem (gp regs base + (Int64.to_int (g regs idx) * scale) + offset) in
-    let a2 = i2.B.a and b2 = i2.B.b and c2 = i2.B.c in
-    let bin f =
-      if b2 = dst && c2 = dst then
-        Some
-          (fun regs ->
-            let v = load regs in
-            s regs dst v;
-            s regs a2 (f v v))
-      else if b2 = dst then
-        Some
-          (fun regs ->
-            let v = load regs in
-            s regs dst v;
-            s regs a2 (f v (g regs c2)))
-      else if c2 = dst then
-        Some
-          (fun regs ->
-            let v = load regs in
-            s regs dst v;
-            s regs a2 (f (g regs b2) v))
-      else None
-    in
-    match consumer with
-    | Add_i64 -> bin Int64.add
-    | Sub_i64 -> bin Int64.sub
-    | Mul_i64 -> bin Int64.mul
-    | And64 -> bin Int64.logand
-    | Or64 -> bin Int64.logor
-    | Xor64 -> bin Int64.logxor
-    | AddChk_i64 -> bin (fun a b -> S.add_chk ~width:64 a b)
-    | SubChk_i64 -> bin (fun a b -> S.sub_chk ~width:64 a b)
-    | MulChk_i64 -> bin (fun a b -> S.mul_chk ~width:64 a b)
-    | CmpEq -> bin (fun a b -> S.bool_i64 (Int64.equal a b))
-    | CmpNe -> bin (fun a b -> S.bool_i64 (not (Int64.equal a b)))
-    | CmpSlt -> bin (fun a b -> S.bool_i64 (Int64.compare a b < 0))
-    | CmpSle -> bin (fun a b -> S.bool_i64 (Int64.compare a b <= 0))
-    | CmpSgt -> bin (fun a b -> S.bool_i64 (Int64.compare a b > 0))
-    | CmpSge -> bin (fun a b -> S.bool_i64 (Int64.compare a b >= 0))
-    | _ -> None)
-  | And64, (AddChk_i64 | SubChk_i64 | MulChk_i64 | Add_i64 | Mul_i64) -> (
-    let dst = i1.B.a and b1 = i1.B.b and c1 = i1.B.c in
-    let a2 = i2.B.a and b2 = i2.B.b and c2 = i2.B.c in
-    let f =
-      match i2.B.op with
-      | AddChk_i64 -> fun a b -> S.add_chk ~width:64 a b
-      | SubChk_i64 -> fun a b -> S.sub_chk ~width:64 a b
-      | MulChk_i64 -> fun a b -> S.mul_chk ~width:64 a b
-      | Add_i64 -> Int64.add
-      | Mul_i64 -> Int64.mul
-      | _ -> assert false
-    in
-    if b2 = dst && c2 <> dst then
-      Some
-        (fun regs ->
-          let v = Int64.logand (g regs b1) (g regs c1) in
-          s regs dst v;
-          s regs a2 (f v (g regs c2)))
-    else if c2 = dst && b2 <> dst then
-      Some
-        (fun regs ->
-          let v = Int64.logand (g regs b1) (g regs c1) in
-          s regs dst v;
-          s regs a2 (f (g regs b2) v))
-    else None)
-  | (CmpEq | CmpNe | CmpSlt | CmpSle | CmpSgt | CmpSge), SelectOp
-    when i2.B.b = i1.B.a && i2.B.c <> i1.B.a && i2.B.d <> i1.B.a -> (
-    let b1 = i1.B.b and c1 = i1.B.c and dst = i1.B.a in
-    let a2 = i2.B.a and c2 = i2.B.c and d2 = i2.B.d in
-    let test =
-      match i1.B.op with
-      | CmpEq -> fun x y -> Int64.equal x y
-      | CmpNe -> fun x y -> not (Int64.equal x y)
-      | CmpSlt -> fun x y -> Int64.compare x y < 0
-      | CmpSle -> fun x y -> Int64.compare x y <= 0
-      | CmpSgt -> fun x y -> Int64.compare x y > 0
-      | CmpSge -> fun x y -> Int64.compare x y >= 0
-      | _ -> assert false
-    in
-    Some
-      (fun regs ->
-        let t = test (g regs b1) (g regs c1) in
-        s regs dst (S.bool_i64 t);
-        s regs a2 (if t then g regs c2 else g regs d2)))
-  | (Add_i64 | Sub_i64 | Mul_i64 | And64 | Or64 | Xor64), Mov when i2.B.b = i1.B.a -> (
-    let dst = i1.B.a and b1 = i1.B.b and c1 = i1.B.c and a2 = i2.B.a in
-    let f =
-      match i1.B.op with
-      | Add_i64 -> Int64.add
-      | Sub_i64 -> Int64.sub
-      | Mul_i64 -> Int64.mul
-      | And64 -> Int64.logand
-      | Or64 -> Int64.logor
-      | Xor64 -> Int64.logxor
-      | _ -> assert false
-    in
-    Some
-      (fun regs ->
-        let v = f (g regs b1) (g regs c1) in
-        s regs dst v;
-        s regs a2 v))
-  | _ -> None
+  let fn = prog.B.rt_table.(Int64.to_int i.B.lit).Rt_fn.fn in
+  match i.B.op with
+  | Op.CallV0 | Op.CallV1 | Op.CallV2 | Op.CallV3 | Op.CallV4 | Op.CallV5 ->
+    fun regs -> fn regs (-1) a b c d e
+  | _ -> fun regs -> fn regs a b c d e 0
 
 let is_call (i : B.insn) =
   match i.B.op with
@@ -403,23 +272,9 @@ let compile (prog : B.t) mem =
       let i = code.(!idx) in
       if is_control i then stop := true
       else begin
-        (* try to fuse with the following instruction *)
-        let next_ok =
-          !idx + 1 < n
-          && (not leader.(!idx + 1))
-          && (not (is_control code.(!idx + 1)))
-          && (not (is_call i))
-          && not (is_call code.(!idx + 1))
-        in
-        let fused = if next_ok then fused_pair mem i code.(!idx + 1) else None in
-        (match fused with
-        | Some step ->
-          steps := step :: !steps;
-          idx := !idx + 2
-        | None ->
-          let step = if is_call i then call_step prog i else step_of mem i in
-          steps := step :: !steps;
-          incr idx);
+        let step = if is_call i then call_step prog i else step_of mem i in
+        steps := step :: !steps;
+        incr idx;
         if !idx >= n || leader.(!idx) then stop := true
       end
     done;

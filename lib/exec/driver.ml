@@ -329,7 +329,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
             (* pipeline barrier: merge thread-local groups and expose
                them as a scannable table *)
             let a = ctx.Aeq_rt.Context.aggs.(agg) in
-            Aeq_rt.Agg.merge a;
+            Aeq_rt.Agg.merge a ~allocator:setup_alloc;
             let n, cols = Aeq_rt.Agg.materialize a ~allocator:setup_alloc in
             Array.iteri
               (fun k col ->

@@ -17,6 +17,34 @@ val sext32 : int64 -> int64
 val canon : width:int -> int64 -> int64
 (** Sign-extend the low [width] bits (8/16/32); identity for 64. *)
 
+(** {1 64-bit forms}
+
+    The execution tiers' hot paths use these: each is [[@inline]] and
+    traps in a unit-typed branch, so inlined code keeps operands and
+    results unboxed. The width-generic operations below are defined
+    through them and agree with them at width 64. *)
+
+val add_ovf64 : int64 -> int64 -> bool
+
+val sub_ovf64 : int64 -> int64 -> bool
+
+val mul_ovf64 : int64 -> int64 -> bool
+
+val add_chk64 : int64 -> int64 -> int64
+(** @raise Trap.Error on overflow. *)
+
+val sub_chk64 : int64 -> int64 -> int64
+
+val mul_chk64 : int64 -> int64 -> int64
+
+val div64 : int64 -> int64 -> int64
+(** Truncating; [min_int / -1] wraps to [min_int].
+    @raise Trap.Error on division by zero. *)
+
+val rem64 : int64 -> int64 -> int64
+
+(** {1 Width-generic forms} *)
+
 val add : width:int -> int64 -> int64 -> int64
 
 val sub : width:int -> int64 -> int64 -> int64

@@ -38,15 +38,14 @@ let create arena ~expected_entries ~payload_bytes =
   }
 
 (* splitmix-style finalizer *)
-let hash key =
+let[@inline] hash key =
   let h = Int64.mul (Int64.logxor key (Int64.shift_right_logical key 33)) 0xFF51AFD7ED558CCDL in
   let h = Int64.mul (Int64.logxor h (Int64.shift_right_logical h 33)) 0xC4CEB9FE1A85EC53L in
   Int64.to_int (Int64.logxor h (Int64.shift_right_logical h 33)) land max_int
 
-let insert t ~allocator ~key =
-  let entry = A.alloc allocator (payload_offset + t.payload_bytes) in
-  A.set_i64 t.arena (entry + 8) key;
-  let b = hash key land t.mask in
+(* Push [entry] onto its bucket's chain. Takes no [int64], so the
+   inlined part of [insert] boxes nothing. *)
+let link t ~entry ~b =
   let s = b land (n_stripes - 1) in
   let stripe = t.locks.(s) in
   Aeq_race.Lock.lock stripe;
@@ -57,22 +56,22 @@ let insert t ~allocator ~key =
   Atomic.incr t.count;
   entry + payload_offset
 
-let lookup t ~key =
-  let b = hash key land t.mask in
-  let rec walk e =
-    if e = A.null then A.null
-    else if Int64.equal (A.get_i64 t.arena (e + 8)) key then e
-    else walk (Int64.to_int (A.get_i64 t.arena e))
-  in
-  walk t.buckets.(b)
+let[@inline] insert t ~allocator ~key =
+  let entry = A.alloc allocator (payload_offset + t.payload_bytes) in
+  A.set_i64 t.arena (entry + 8) key;
+  link t ~entry ~b:(hash key land t.mask)
 
-let next_match t ~entry =
-  let key = A.get_i64 t.arena (entry + 8) in
-  let rec walk e =
-    if e = A.null then A.null
-    else if Int64.equal (A.get_i64 t.arena (e + 8)) key then e
-    else walk (Int64.to_int (A.get_i64 t.arena e))
-  in
-  walk (Int64.to_int (A.get_i64 t.arena entry))
+(* First entry from [e] on along its chain whose key is [key]. *)
+let[@inline] walk t e ~key =
+  let e = ref e in
+  while !e <> A.null && not (Int64.equal (A.get_i64 t.arena (!e + 8)) key) do
+    e := Int64.to_int (A.get_i64 t.arena !e)
+  done;
+  !e
+
+let[@inline] lookup t ~key = walk t t.buckets.(hash key land t.mask) ~key
+
+let[@inline] next_match t ~entry =
+  walk t (Int64.to_int (A.get_i64 t.arena entry)) ~key:(A.get_i64 t.arena (entry + 8))
 
 let size t = Atomic.get t.count

@@ -4,7 +4,10 @@
     code in any execution mode reads them with plain loads; bucket
     heads and stripe locks live on the OCaml side. Inserts during the
     build pipeline are thread-safe (striped locks); probes happen
-    after the pipeline barrier and are lock-free. *)
+    after the pipeline barrier and are lock-free.
+
+    [insert], [lookup] and [next_match] are inlined into callers built
+    with cross-module inlining, so their [int64] keys stay unboxed. *)
 
 type t
 

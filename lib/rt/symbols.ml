@@ -2,8 +2,8 @@ module A = Aeq_mem.Arena
 
 (* Civil-date conversion (Howard Hinnant's algorithm), days since
    1970-01-01 -> year. *)
-let year_of_days days =
-  let z = Int64.to_int days + 719468 in
+let year_of_day days =
+  let z = days + 719468 in
   let era = (if z >= 0 then z else z - 146096) / 146097 in
   let doe = z - (era * 146097) in
   let yoe = (doe - (doe / 1460) + (doe / 36524) - (doe / 146096)) / 365 in
@@ -11,62 +11,65 @@ let year_of_days days =
   let doy = doe - ((365 * yoe) + (yoe / 4) - (yoe / 100)) in
   let mp = ((5 * doy) + 2) / 153 in
   let m = if mp < 10 then mp + 3 else mp - 9 in
-  Int64.of_int (if m <= 2 then y + 1 else y)
+  if m <= 2 then y + 1 else y
 
-(* Compiled artifacts (and their resolved closures) are cached in the
+let year_of_days days = Int64.of_int (year_of_day (Int64.to_int days))
+
+module R = Aeq_vm.Rt_fn
+
+(* Compiled artifacts (and their resolved helpers) are cached in the
    plan cache and shared by every concurrent execution of the
-   statement, so the closures must not bake in one execution's tables.
+   statement, so the helpers must not bake in one execution's tables.
    Each call resolves the domain-current context installed by the
    pipeline worker; [ctx] — the context the code was compiled against —
    is only the fallback for single-threaded callers (tools, tests)
-   that invoke compiled code without going through the driver. *)
-let resolver (ctx : Context.t) : Aeq_vm.Rt_fn.resolver =
+   that invoke compiled code without going through the driver.
+
+   Helpers follow the register-file convention of {!Aeq_vm.Rt_fn}:
+   operands are read from the caller's slots into unboxed locals and
+   the result is written back, so no [int64] crosses a call. *)
+let resolver (ctx : Context.t) : R.resolver =
   let cur () = match Context.current () with Some c -> c | None -> ctx in
+  let[@inline] int regs off = Int64.to_int (R.arg regs off) in
+  let[@inline] ret_int regs dst v = R.ret regs dst (Int64.of_int v) in
+  let helper arity fn = Some { R.arity; fn } in
   fun sym ->
     match sym with
     | "ht_insert" ->
-      Some
-        (Aeq_vm.Rt_fn.F3
-           (fun ht tid key ->
-             let c = cur () in
-             let t = c.Context.hts.(Int64.to_int ht) in
-             let allocator = c.Context.allocators.(Int64.to_int tid) in
-             Int64.of_int (Hash_table.insert t ~allocator ~key)))
+      helper 3 (fun regs dst ht tid key _ _ ->
+          let c = cur () in
+          let t = c.Context.hts.(int regs ht) in
+          let allocator = c.Context.allocators.(int regs tid) in
+          let key = R.arg regs key in
+          ret_int regs dst (Hash_table.insert t ~allocator ~key))
     | "ht_lookup" ->
-      Some
-        (Aeq_vm.Rt_fn.F2
-           (fun ht key ->
-             let t = (cur ()).Context.hts.(Int64.to_int ht) in
-             Int64.of_int (Hash_table.lookup t ~key)))
+      helper 2 (fun regs dst ht key _ _ _ ->
+          let t = (cur ()).Context.hts.(int regs ht) in
+          let key = R.arg regs key in
+          ret_int regs dst (Hash_table.lookup t ~key))
     | "ht_next" ->
-      Some
-        (Aeq_vm.Rt_fn.F2
-           (fun ht entry ->
-             let t = (cur ()).Context.hts.(Int64.to_int ht) in
-             Int64.of_int (Hash_table.next_match t ~entry:(Int64.to_int entry))))
+      helper 2 (fun regs dst ht entry _ _ _ ->
+          let t = (cur ()).Context.hts.(int regs ht) in
+          ret_int regs dst (Hash_table.next_match t ~entry:(int regs entry)))
     | "agg_get" ->
-      Some
-        (Aeq_vm.Rt_fn.F4
-           (fun agg tid k1 k2 ->
-             let c = cur () in
-             let t = c.Context.aggs.(Int64.to_int agg) in
-             let tid = Int64.to_int tid in
-             let allocator = c.Context.allocators.(tid) in
-             Int64.of_int (Agg.get_group t ~tid ~allocator ~k1 ~k2)))
+      helper 4 (fun regs dst agg tid k1 k2 _ ->
+          let c = cur () in
+          let t = c.Context.aggs.(int regs agg) in
+          let tid = int regs tid in
+          let allocator = c.Context.allocators.(tid) in
+          let k1 = R.arg regs k1 and k2 = R.arg regs k2 in
+          ret_int regs dst (Agg.get_group t ~tid ~allocator ~k1 ~k2))
     | "out_row" ->
-      Some
-        (Aeq_vm.Rt_fn.F2
-           (fun out tid ->
-             let c = cur () in
-             let t = c.Context.outs.(Int64.to_int out) in
-             let tid = Int64.to_int tid in
-             let allocator = c.Context.allocators.(tid) in
-             Int64.of_int (Output.row t ~tid ~allocator)))
+      helper 2 (fun regs dst out tid _ _ _ ->
+          let c = cur () in
+          let t = c.Context.outs.(int regs out) in
+          let tid = int regs tid in
+          let allocator = c.Context.allocators.(tid) in
+          ret_int regs dst (Output.row t ~tid ~allocator))
     | "dict_match" ->
-      Some
-        (Aeq_vm.Rt_fn.F2
-           (fun pred code ->
-             let bm = (cur ()).Context.preds.(Int64.to_int pred) in
-             if Bitmap.get bm (Int64.to_int code) then 1L else 0L))
-    | "year_of" -> Some (Aeq_vm.Rt_fn.F1 year_of_days)
+      helper 2 (fun regs dst pred code _ _ _ ->
+          let bm = (cur ()).Context.preds.(int regs pred) in
+          ret_int regs dst (if Bitmap.get bm (int regs code) then 1 else 0))
+    | "year_of" ->
+      helper 1 (fun regs dst days _ _ _ _ -> ret_int regs dst (year_of_day (int regs days)))
     | _ -> None

@@ -3,7 +3,8 @@
     dispatch through the same closures, so helper behaviour is
     identical by construction.
 
-    Exposed helpers (all [int64] calling convention):
+    Exposed helpers, in the register-file calling convention of
+    {!Aeq_vm.Rt_fn} (operands and result are [int64] register slots):
     - [ht_insert  (ht, tid, key) -> payload_ptr]
     - [ht_lookup  (ht, key) -> entry_ptr | 0]
     - [ht_next    (ht, entry) -> entry_ptr | 0]

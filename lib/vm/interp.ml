@@ -73,7 +73,7 @@ let run (p : Bytecode.t) mem ?regs ~args () =
       s regs i.a (S.div ~width:32 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | Div_i64 ->
-      s regs i.a (S.div ~width:64 (g regs i.b) (g regs i.c));
+      s regs i.a (S.div64 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | Rem_i8 ->
       s regs i.a (S.rem ~width:8 (g regs i.b) (g regs i.c));
@@ -85,7 +85,7 @@ let run (p : Bytecode.t) mem ?regs ~args () =
       s regs i.a (S.rem ~width:32 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | Rem_i64 ->
-      s regs i.a (S.rem ~width:64 (g regs i.b) (g regs i.c));
+      s regs i.a (S.rem64 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | And64 ->
       s regs i.a (Int64.logand (g regs i.b) (g regs i.c));
@@ -127,37 +127,37 @@ let run (p : Bytecode.t) mem ?regs ~args () =
       s regs i.a (S.add_chk ~width:32 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | AddChk_i64 ->
-      s regs i.a (S.add_chk ~width:64 (g regs i.b) (g regs i.c));
+      s regs i.a (S.add_chk64 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | SubChk_i32 ->
       s regs i.a (S.sub_chk ~width:32 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | SubChk_i64 ->
-      s regs i.a (S.sub_chk ~width:64 (g regs i.b) (g regs i.c));
+      s regs i.a (S.sub_chk64 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | MulChk_i32 ->
       s regs i.a (S.mul_chk ~width:32 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | MulChk_i64 ->
-      s regs i.a (S.mul_chk ~width:64 (g regs i.b) (g regs i.c));
+      s regs i.a (S.mul_chk64 (g regs i.b) (g regs i.c));
       go (ip + 1)
     | OvfAdd_i32 ->
       s regs i.a (S.bool_i64 (S.add_ovf ~width:32 (g regs i.b) (g regs i.c)));
       go (ip + 1)
     | OvfAdd_i64 ->
-      s regs i.a (S.bool_i64 (S.add_ovf ~width:64 (g regs i.b) (g regs i.c)));
+      s regs i.a (S.bool_i64 (S.add_ovf64 (g regs i.b) (g regs i.c)));
       go (ip + 1)
     | OvfSub_i32 ->
       s regs i.a (S.bool_i64 (S.sub_ovf ~width:32 (g regs i.b) (g regs i.c)));
       go (ip + 1)
     | OvfSub_i64 ->
-      s regs i.a (S.bool_i64 (S.sub_ovf ~width:64 (g regs i.b) (g regs i.c)));
+      s regs i.a (S.bool_i64 (S.sub_ovf64 (g regs i.b) (g regs i.c)));
       go (ip + 1)
     | OvfMul_i32 ->
       s regs i.a (S.bool_i64 (S.mul_ovf ~width:32 (g regs i.b) (g regs i.c)));
       go (ip + 1)
     | OvfMul_i64 ->
-      s regs i.a (S.bool_i64 (S.mul_ovf ~width:64 (g regs i.b) (g regs i.c)));
+      s regs i.a (S.bool_i64 (S.mul_ovf64 (g regs i.b) (g regs i.c)));
       go (ip + 1)
     | FAdd ->
       sf regs i.a (gf regs i.b +. gf regs i.c);
@@ -386,61 +386,11 @@ let run (p : Bytecode.t) mem ?regs ~args () =
     | RetVal -> g regs i.a
     | RetVoid -> 0L
     | AbortOp -> raise (Trap.Error p.Bytecode.messages.(i.a))
-    | CallV0 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F0 f -> ignore (f ())
-      | _ -> assert false);
+    | CallV0 | CallV1 | CallV2 | CallV3 | CallV4 | CallV5 ->
+      (Array.unsafe_get tbl (Int64.to_int i.lit)).Rt_fn.fn regs (-1) i.a i.b i.c i.d i.e;
       go (ip + 1)
-    | CallV1 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F1 f -> ignore (f (g regs i.a))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallV2 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F2 f -> ignore (f (g regs i.a) (g regs i.b))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallV3 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F3 f -> ignore (f (g regs i.a) (g regs i.b) (g regs i.c))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallV4 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F4 f -> ignore (f (g regs i.a) (g regs i.b) (g regs i.c) (g regs i.d))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallV5 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F5 f ->
-        ignore (f (g regs i.a) (g regs i.b) (g regs i.c) (g regs i.d) (g regs i.e))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallR0 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F0 f -> s regs i.a (f ())
-      | _ -> assert false);
-      go (ip + 1)
-    | CallR1 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F1 f -> s regs i.a (f (g regs i.b))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallR2 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F2 f -> s regs i.a (f (g regs i.b) (g regs i.c))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallR3 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F3 f -> s regs i.a (f (g regs i.b) (g regs i.c) (g regs i.d))
-      | _ -> assert false);
-      go (ip + 1)
-    | CallR4 ->
-      (match Array.unsafe_get tbl (Int64.to_int i.lit) with
-      | Rt_fn.F4 f -> s regs i.a (f (g regs i.b) (g regs i.c) (g regs i.d) (g regs i.e))
-      | _ -> assert false);
+    | CallR0 | CallR1 | CallR2 | CallR3 | CallR4 ->
+      (Array.unsafe_get tbl (Int64.to_int i.lit)).Rt_fn.fn regs i.a i.b i.c i.d i.e 0;
       go (ip + 1)
   in
   go 0

@@ -25,6 +25,8 @@ let run (f : Func.t) mem ~symbols ~args =
     | Instr.Fimm x -> Int64.bits_of_float x
   in
   let set d v = Hashtbl.replace env d v in
+  (* the register file runtime helpers are called with, reused per call *)
+  let frame = Bytes.create 48 in
   let eval_binop (op : Instr.binop) ty a b =
     let w = width_of ty in
     match op with
@@ -144,18 +146,13 @@ let run (f : Func.t) mem ~symbols ~args =
         | Some fn -> fn
         | None -> invalid_arg ("Ir_interp: unresolved symbol " ^ sym)
       in
-      let a i = value call_args.(i) in
-      let r =
-        match (fn, Array.length call_args) with
-        | Rt_fn.F0 f, 0 -> f ()
-        | Rt_fn.F1 f, 1 -> f (a 0)
-        | Rt_fn.F2 f, 2 -> f (a 0) (a 1)
-        | Rt_fn.F3 f, 3 -> f (a 0) (a 1) (a 2)
-        | Rt_fn.F4 f, 4 -> f (a 0) (a 1) (a 2) (a 3)
-        | Rt_fn.F5 f, 5 -> f (a 0) (a 1) (a 2) (a 3) (a 4)
-        | _ -> invalid_arg ("Ir_interp: arity mismatch calling " ^ sym)
-      in
-      match dst with Some (d, _) -> set d r | None -> ())
+      let n = Array.length call_args in
+      if n > 5 || n <> fn.Rt_fn.arity then
+        invalid_arg ("Ir_interp: arity mismatch calling " ^ sym);
+      (* arguments in slots 0..4, the result in slot 5 *)
+      Array.iteri (fun k v -> Bytes.set_int64_ne frame (8 * k) (value v)) call_args;
+      fn.Rt_fn.fn frame 40 0 8 16 24 32;
+      match dst with Some (d, _) -> set d (Bytes.get_int64_ne frame 40) | None -> ())
   in
   let rec exec_block prev cur =
     let blk = Func.block f cur in

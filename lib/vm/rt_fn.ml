@@ -1,11 +1,11 @@
-type t =
-  | F0 of (unit -> int64)
-  | F1 of (int64 -> int64)
-  | F2 of (int64 -> int64 -> int64)
-  | F3 of (int64 -> int64 -> int64 -> int64)
-  | F4 of (int64 -> int64 -> int64 -> int64 -> int64)
-  | F5 of (int64 -> int64 -> int64 -> int64 -> int64 -> int64)
+type fn = Bytes.t -> int -> int -> int -> int -> int -> int -> unit
 
-let arity = function F0 _ -> 0 | F1 _ -> 1 | F2 _ -> 2 | F3 _ -> 3 | F4 _ -> 4 | F5 _ -> 5
+type t = { arity : int; fn : fn }
+
+let arity t = t.arity
+
+let[@inline] arg regs off = Bytes.get_int64_ne regs off
+
+let[@inline] ret regs dst v = if dst >= 0 then Bytes.set_int64_ne regs dst v
 
 type resolver = string -> t option

@@ -93,21 +93,27 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
     | Instr.Fimm x -> 8 * Hashtbl.find const_idx (Int64.bits_of_float x)
   in
   (* --- runtime symbol table --------------------------------------- *)
-  let rt_idx : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let rt_idx : (string, int * Rt_fn.t) Hashtbl.t = Hashtbl.create 16 in
   let rt_fns = ref [] in
   let n_rt = ref 0 in
-  let resolve sym =
-    match Hashtbl.find_opt rt_idx sym with
-    | Some i -> i
-    | None -> (
-      match symbols sym with
-      | None -> unsupported "unresolved runtime symbol %s" sym
-      | Some fn ->
-        let i = !n_rt in
-        Hashtbl.replace rt_idx sym i;
-        rt_fns := fn :: !rt_fns;
-        incr n_rt;
-        i)
+  let resolve sym n_args =
+    let i, fn =
+      match Hashtbl.find_opt rt_idx sym with
+      | Some entry -> entry
+      | None -> (
+        match symbols sym with
+        | None -> unsupported "unresolved runtime symbol %s" sym
+        | Some fn ->
+          let i = !n_rt in
+          Hashtbl.replace rt_idx sym (i, fn);
+          rt_fns := fn :: !rt_fns;
+          incr n_rt;
+          (i, fn))
+    in
+    if Rt_fn.arity fn <> n_args then
+      unsupported "runtime symbol %s takes %d arguments, called with %d" sym (Rt_fn.arity fn)
+        n_args;
+    i
   in
   (* --- abort messages ---------------------------------------------- *)
   let msg_idx : (string, int) Hashtbl.t = Hashtbl.create 4 in
@@ -314,7 +320,7 @@ let translate ?(strategy = Regalloc.Loop_aware) ?(fuse = true) ~symbols (f : Fun
           (insn Opcode.Gep ~a:(reg_of (Vreg dst)) ~b:(reg_of base) ~c:(reg_of index)
              ~lit:(Bytecode.pack_scale_offset ~scale ~offset)))
     | Instr.Call { dst; sym; args; _ } -> (
-      let idx = Int64.of_int (resolve sym) in
+      let idx = Int64.of_int (resolve sym (Array.length args)) in
       let arg i = reg_of args.(i) in
       match (dst, Array.length args) with
       | None, 0 -> emit (insn Opcode.CallV0 ~lit:idx)

@@ -58,6 +58,152 @@ let prop_all_modes_agree =
   QCheck.Test.make ~name:"bytecode = unopt = opt = IR on random programs" ~count:150
     QCheck.small_nat modes_agree
 
+(* --- 64-bit arithmetic at its boundaries -------------------------- *)
+
+(* One function per operation, [f(a, b) = a op b]; checked operations
+   trap on overflow, division traps on a zero divisor. *)
+type arith = Chk of Instr.ovf_op | Plain of Instr.binop
+
+let arith_name = function
+  | Chk Instr.OAdd -> "add_chk"
+  | Chk Instr.OSub -> "sub_chk"
+  | Chk Instr.OMul -> "mul_chk"
+  | Plain Instr.Div -> "div"
+  | Plain Instr.Rem -> "rem"
+  | Plain _ -> "binop"
+
+let arith_ops = [ Chk Instr.OAdd; Chk Instr.OSub; Chk Instr.OMul; Plain Instr.Div; Plain Instr.Rem ]
+
+let build_arith op ty x y =
+  let b = Builder.create ~name:(arith_name op) ~params:[ ty; ty ] in
+  let x = x b and y = y b in
+  let r =
+    match op with Chk o -> Builder.checked b o ty x y | Plain o -> Builder.binop b o ty x y
+  in
+  Builder.ret b r;
+  let f = Builder.finish b in
+  Layout.normalize f;
+  f
+
+(* Independent overflow oracle (the CERT INT32-C pre-checks). *)
+let overflows op (a : int64) (b : int64) =
+  let open Int64 in
+  match op with
+  | Chk Instr.OAdd -> if b > 0L then a > sub max_int b else a < sub min_int b
+  | Chk Instr.OSub -> if b < 0L then a > add max_int b else a < add min_int b
+  | Chk Instr.OMul ->
+    if a > 0L then if b > 0L then a > div max_int b else b < div min_int a
+    else if b > 0L then a < div min_int b
+    else a <> 0L && b < div max_int a
+  | Plain _ -> false
+
+let expected op a b =
+  if overflows op a b then Error "integer overflow"
+  else
+    match op with
+    | Chk Instr.OAdd -> Ok (Int64.add a b)
+    | Chk Instr.OSub -> Ok (Int64.sub a b)
+    | Chk Instr.OMul -> Ok (Int64.mul a b)
+    | Plain (Instr.Div | Instr.Rem) when b = 0L -> Error "division by zero"
+    | Plain Instr.Div -> Ok (Int64.div a b)
+    | Plain _ -> Ok (Int64.rem a b)
+
+(* Every tier on one operation: the IR evaluator, the interpreter over
+   fused (AddChk_i64 ...) and unfused (OvfAdd_i64 + branch) bytecode,
+   closure compilation of both, the Opt pipeline, and constant folding
+   of the same operation on literal operands. *)
+let arith_tiers op a b =
+  let f = build_arith op Types.I64 (fun b -> Builder.param b 0) (fun b -> Builder.param b 1) in
+  let args = [| a; b |] in
+  let mem = A.create () in
+  let bc fuse = Aeq_vm.Translate.translate ~fuse ~symbols:no_symbols f in
+  let closures fuse =
+    let c = Aeq_backend.Compiler.compile_unopt_of_bytecode ~cost_model:CM.off ~mem ~n_instrs:1 (bc fuse) in
+    outcome (fun () -> Aeq_backend.Closure_compile.run c.Aeq_backend.Compiler.exec ~args ())
+  in
+  let compiled mode =
+    let c = Aeq_backend.Compiler.compile ~cost_model:CM.off ~symbols:no_symbols ~mem ~mode f in
+    outcome (fun () -> Aeq_backend.Closure_compile.run c.Aeq_backend.Compiler.exec ~args ())
+  in
+  let folded =
+    let g = build_arith op Types.I64 (fun _ -> Instr.Imm a) (fun _ -> Instr.Imm b) in
+    ignore (Aeq_passes.Const_fold.run g);
+    outcome (fun () -> Aeq_vm.Ir_interp.run g mem ~symbols:no_symbols ~args:[||])
+  in
+  [
+    ("ir", outcome (fun () -> Aeq_vm.Ir_interp.run f mem ~symbols:no_symbols ~args));
+    ("bytecode", outcome (fun () -> Aeq_vm.Interp.run (bc true) mem ~args ()));
+    ("bytecode unfused", outcome (fun () -> Aeq_vm.Interp.run (bc false) mem ~args ()));
+    ("closures", closures true);
+    ("closures unfused", closures false);
+    ("unopt", compiled CM.Unopt);
+    ("opt", compiled CM.Opt);
+    ("const fold", folded);
+  ]
+
+let boundary_values =
+  [
+    Int64.min_int; Int64.max_int; -1L; 0L; 1L; 0x80000000L; -0x80000000L; 0x7FFFFFFFL;
+    0x100000000L; -0x100000000L; Int64.succ Int64.min_int; Int64.pred Int64.max_int;
+  ]
+
+let arith_operand =
+  QCheck.Gen.(frequency [ (3, oneofl boundary_values); (1, ui64); (1, map Int64.of_int small_signed_int) ])
+
+let arith_mismatches (a, b) =
+  let show = function Ok v -> Int64.to_string v | Error m -> m in
+  List.concat_map
+    (fun op ->
+      let want = expected op a b in
+      List.filter_map
+        (fun (tier, got) ->
+          if got = want then None
+          else
+            Some
+              (Printf.sprintf "%s %Ld %Ld in %s: got %s, want %s" (arith_name op) a b tier
+                 (show got) (show want)))
+        (arith_tiers op a b))
+    arith_ops
+
+let prop_arith_boundaries =
+  QCheck.Test.make ~name:"64-bit checked ops: same value or trap in every tier" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) -> Printf.sprintf "(%Ld, %Ld)" a b)
+       QCheck.Gen.(pair arith_operand arith_operand))
+    (fun pair ->
+      match arith_mismatches pair with
+      | [] -> true
+      | ms -> QCheck.Test.fail_reportf "%s" (String.concat "\n" ms))
+
+let test_arith_boundary_pairs () =
+  (* the two bytecode shapes really are the macro-op and the flag op *)
+  let ops fuse op =
+    let f = build_arith op Types.I64 (fun b -> Builder.param b 0) (fun b -> Builder.param b 1) in
+    Array.to_list
+      (Array.map
+         (fun (i : Aeq_vm.Bytecode.insn) -> i.Aeq_vm.Bytecode.op)
+         (Aeq_vm.Translate.translate ~fuse ~symbols:no_symbols f).Aeq_vm.Bytecode.code)
+  in
+  List.iter
+    (fun (op, fused, flag) ->
+      Alcotest.(check bool) "fused macro-op" true (List.mem fused (ops true op));
+      Alcotest.(check bool) "unfused flag op" true (List.mem flag (ops false op)))
+    Aeq_vm.Opcode.
+      [
+        (Chk Instr.OAdd, AddChk_i64, OvfAdd_i64);
+        (Chk Instr.OSub, SubChk_i64, OvfSub_i64);
+        (Chk Instr.OMul, MulChk_i64, OvfMul_i64);
+      ];
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          match arith_mismatches (a, b) with
+          | [] -> ()
+          | m :: _ -> Alcotest.fail m)
+        boundary_values)
+    boundary_values
+
 let test_unopt_runs_simple () =
   let b = Builder.create ~name:"s" ~params:[ Types.I64 ] in
   let r = Builder.binop b Instr.Mul Types.I64 (Builder.param b 0) (Instr.Imm 7L) in
@@ -144,6 +290,11 @@ let () =
           Alcotest.test_case "shape" `Quick test_cost_model_shape;
           Alcotest.test_case "simulated latency" `Quick test_simulated_latency_enforced;
           Alcotest.test_case "calibration" `Quick test_calibration_sane;
+        ] );
+      ( "arithmetic",
+        [
+          Alcotest.test_case "boundary pairs" `Quick test_arith_boundary_pairs;
+          QCheck_alcotest.to_alcotest prop_arith_boundaries;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_all_modes_agree ]);
     ]

@@ -67,7 +67,7 @@ let test_agg_merge () =
       if Int64.compare v (A.get_i64 arena (row + 24)) > 0 then A.set_i64 arena (row + 24) v
     done
   done;
-  Aeq_rt.Agg.merge agg;
+  Aeq_rt.Agg.merge agg ~allocator:alloc;
   Alcotest.(check int) "5 groups" 5 (Aeq_rt.Agg.n_groups agg);
   let n, cols = Aeq_rt.Agg.materialize agg ~allocator:alloc in
   Alcotest.(check int) "materialized rows" 5 n;
@@ -77,6 +77,98 @@ let test_agg_merge () =
     total := Int64.add !total (A.get_i64 arena (cols.(2) + (8 * i)))
   done;
   Alcotest.(check int64) "count sums to 300" 300L !total
+
+(* --- aggregation table against a Hashtbl reference ----------------- *)
+
+module Agg = Aeq_rt.Agg
+
+(* One update: thread [tid] folds [v] into group [(k1, k2)]. *)
+type agg_op = { tid : int; k1 : int64; k2 : int64; v : int64 }
+
+(* Runs [ops] through a 3-thread, arity-2 table with Sum/Count/Min/Max
+   accumulators and compares the merged, materialized groups with a
+   Hashtbl fold of the same updates. Also checks that a thread gets the
+   same row for a group on every touch, across table growth. *)
+let agg_matches_reference ops =
+  let arena = A.create () in
+  let alloc = A.allocator arena in
+  let agg = Agg.create arena ~n_threads:3 ~key_arity:2 ~accs:[ Agg.Sum; Agg.Count; Agg.Min; Agg.Max ] in
+  let reference = Hashtbl.create 64 and rows = Hashtbl.create 64 in
+  List.iter
+    (fun { tid; k1; k2; v } ->
+      let row = Agg.get_group agg ~tid ~allocator:alloc ~k1 ~k2 in
+      (match Hashtbl.find_opt rows (tid, k1, k2) with
+      | Some r when r <> row -> Alcotest.failf "thread %d: group (%Ld, %Ld) moved" tid k1 k2
+      | Some _ -> ()
+      | None -> Hashtbl.replace rows (tid, k1, k2) row);
+      let get i = A.get_i64 arena (row + (8 * i)) and set i x = A.set_i64 arena (row + (8 * i)) x in
+      set 0 (Int64.add (get 0) v);
+      set 1 (Int64.succ (get 1));
+      set 2 (min (get 2) v);
+      set 3 (max (get 3) v);
+      let s, c, lo, hi =
+        Option.value (Hashtbl.find_opt reference (k1, k2)) ~default:(0L, 0L, Int64.max_int, Int64.min_int)
+      in
+      Hashtbl.replace reference (k1, k2) (Int64.add s v, Int64.succ c, min lo v, max hi v))
+    ops;
+  Agg.merge agg ~allocator:alloc;
+  let n, cols = Agg.materialize agg ~allocator:alloc in
+  let col j i = A.get_i64 arena (cols.(j) + (8 * i)) in
+  let got =
+    List.sort compare
+      (List.init n (fun i -> ((col 0 i, col 1 i), (col 2 i, col 3 i, col 4 i, col 5 i))))
+  in
+  let want = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) reference []) in
+  Agg.n_groups agg = Hashtbl.length reference && got = want
+
+let agg_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Int64.of_int (int_bound 40));
+        (2, oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ]);
+        (* agree in the low 32 bits: collide under any hash of the low word *)
+        (2, map (fun i -> Int64.shift_left (Int64.of_int i) 32) (int_bound 40));
+        (1, ui64);
+      ])
+
+let agg_ops_gen =
+  QCheck.Gen.(
+    list_size (int_bound 3000)
+      (map
+         (fun (tid, (k1, k2), v) -> { tid; k1; k2; v = Int64.of_int v })
+         (triple (int_bound 2)
+            (oneof [ pair agg_key agg_key; map (fun k -> (k, k)) agg_key ])
+            small_signed_int)))
+
+let prop_agg_reference =
+  QCheck.Test.make ~name:"agg table = Hashtbl reference (3 threads, arity 2)" ~count:60
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "%d updates" (List.length ops)) agg_ops_gen)
+    agg_matches_reference
+
+(* Thousands of groups per thread force several growths; every thread
+   touches the same keys plus its own, swapped pairs included. *)
+let test_agg_many_groups () =
+  let ops =
+    List.concat_map
+      (fun tid ->
+        List.concat_map
+          (fun i ->
+            let k = Int64.of_int i in
+            [
+              { tid; k1 = k; k2 = Int64.neg k; v = Int64.of_int tid };
+              { tid; k1 = Int64.neg k; k2 = k; v = 1L };
+              { tid; k1 = Int64.of_int ((tid * 10_000) + i); k2 = 7L; v = k };
+            ])
+          (List.init 3000 Fun.id)
+        @ [
+            { tid; k1 = 0L; k2 = 0L; v = 5L };
+            { tid; k1 = Int64.min_int; k2 = Int64.max_int; v = Int64.min_int };
+            { tid; k1 = Int64.max_int; k2 = Int64.min_int; v = Int64.max_int };
+          ])
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check bool) "matches reference" true (agg_matches_reference ops)
 
 let test_dict () =
   let d = Aeq_rt.Dict.create () in
@@ -119,7 +211,12 @@ let () =
           Alcotest.test_case "basic" `Quick test_ht_basic;
           Alcotest.test_case "concurrent build" `Quick test_ht_concurrent_build;
         ] );
-      ("agg", [ Alcotest.test_case "merge/materialize" `Quick test_agg_merge ]);
+      ( "agg",
+        [
+          Alcotest.test_case "merge/materialize" `Quick test_agg_merge;
+          Alcotest.test_case "many groups" `Quick test_agg_many_groups;
+          QCheck_alcotest.to_alcotest prop_agg_reference;
+        ] );
       ("dict", [ Alcotest.test_case "encode/decode/match" `Quick test_dict ]);
       ("output", [ Alcotest.test_case "rows" `Quick test_output ]);
       ("dates", [ Alcotest.test_case "year_of" `Quick test_year_of ]);

@@ -144,14 +144,16 @@ let test_runtime_call () =
   Layout.normalize f;
   Verify.run f;
   let observed = ref 0L in
+  let module R = Aeq_vm.Rt_fn in
   let symbols = function
-    | "triple" -> Some (Aeq_vm.Rt_fn.F1 (fun x -> Int64.mul 3L x))
-    | "observe" ->
+    | "triple" ->
       Some
-        (Aeq_vm.Rt_fn.F1
-           (fun x ->
-             observed := x;
-             0L))
+        {
+          R.arity = 1;
+          fn = (fun regs dst x _ _ _ _ -> R.ret regs dst (Int64.mul 3L (R.arg regs x)));
+        }
+    | "observe" ->
+      Some { R.arity = 1; fn = (fun regs _ x _ _ _ _ -> observed := R.arg regs x) }
     | _ -> None
   in
   let mem = A.create () in
