@@ -810,8 +810,9 @@ let supervision () =
   header "SUPERVISION: supervised vs bare domains on the warmed serving loop";
   let sf = Stdlib.min base_sf 0.01 in
   let iters = 25 in
-  (* the barrier sits on the dispatcher/worker loops, so measure the
-     scheduler path: submit + await of an already-prepared statement *)
+  (* the barrier sits on the pool-worker loop that serves admitted
+     queries, so measure the scheduler path: submit + await of an
+     already-prepared statement *)
   let measure ~supervised =
     let e = Aeq.Engine.create ~n_threads ~supervised () in
     Aeq.Engine.load_tpch e ~scale_factor:sf;

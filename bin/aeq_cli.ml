@@ -73,11 +73,11 @@ let serve_clients engine ~clients ~iters ~mode ~deadline sql =
   let s = Aeq.Engine.scheduler_stats engine in
   Printf.printf
     "scheduler: admitted %d | rejected %d | shed %d | expired %d | retried %d | degraded \
-     %d | watchdog cancels %d | breaker trips %d (%s) | max depth %d | avg wait %.2f ms\n"
+     %d | timeouts %d | breaker trips %d (%s) | max depth %d | avg wait %.2f ms\n"
     s.Aeq_exec.Scheduler.admitted s.Aeq_exec.Scheduler.rejected
     s.Aeq_exec.Scheduler.shed s.Aeq_exec.Scheduler.expired
     s.Aeq_exec.Scheduler.retried s.Aeq_exec.Scheduler.degraded
-    s.Aeq_exec.Scheduler.watchdog_cancels s.Aeq_exec.Scheduler.breaker_trips
+    s.Aeq_exec.Scheduler.timeouts s.Aeq_exec.Scheduler.breaker_trips
     (Aeq_exec.Scheduler.breaker_state_name s.Aeq_exec.Scheduler.breaker_state)
     s.Aeq_exec.Scheduler.max_queue_depth
     (s.Aeq_exec.Scheduler.avg_wait_seconds *. 1e3)

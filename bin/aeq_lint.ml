@@ -15,7 +15,9 @@
    from) the locking discipline, so the raw-mutex and yield-in-lock
    rules skip them; the sleep rule applies to the supervised execution
    layers (lib/exec, lib/mem) where an uninterruptible sleep can stall
-   shutdown or crash reclaim.
+   shutdown or crash reclaim; the domain-spawn rule applies everywhere
+   and is waived only at the pool's, the supervisor's, the race
+   detector's and the simulator's spawn sites.
 
    Exit 0 clean, 1 on findings, 2 on usage/IO errors. *)
 
@@ -51,7 +53,7 @@ let under sub path =
 let rules_for path =
   let open Aeq_lint.Lint in
   if under "race" path || under "sim" path then
-    [ "failpoint-literal"; "declare-literal" ]
+    [ "failpoint-literal"; "declare-literal"; "domain-spawn" ]
   else if under "exec" path || under "mem" path then all_rules
   else List.filter (fun r -> r <> "sleep-in-exec") all_rules
 

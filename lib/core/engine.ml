@@ -44,7 +44,7 @@ type t = {
 }
 
 (* Which plan-cache text THIS domain is single-flight preparing right
-   now. A dispatcher crashing mid-prepare would otherwise leave its
+   now. A pool worker crashing mid-prepare would otherwise leave its
    claim in [t.preparing] forever and wedge every peer waiting on
    [prep_done]; the scheduler's [on_domain_crash] hook runs in the
    crashed domain and uses this to find and release the claim. *)
@@ -65,27 +65,18 @@ let health_name = function
   | Draining -> "draining"
   | Stopped -> "stopped"
 
-(* Aggregated from the domain supervisors: any serving domain currently
-   crashed-and-backing-off or failed (restart budget exhausted) makes
-   the engine [Degraded] with one reason per such domain. Reads only —
-   safe from any domain, including exporters scraping mid-crash. *)
+(* Aggregated from the pool's worker supervisors — every engine domain
+   is a pool worker: any worker currently crashed-and-backing-off or
+   failed (restart budget exhausted) makes the engine [Degraded] with
+   one reason per such worker. Reads only — safe from any domain,
+   including exporters scraping mid-crash. *)
 let health t =
   if Aeq_exec.Pool.closed t.pool then Stopped
   else if Atomic.get t.draining then Draining
-  else begin
-    let sched_reasons =
-      match
-        with_lock t.sched_lock (fun () ->
-            Aeq_race.read ~site:"engine.health" t.sched_loc;
-            t.scheduler)
-      with
-      | Some s -> Aeq_exec.Scheduler.health_reasons s
-      | None -> []
-    in
-    match sched_reasons @ Aeq_exec.Pool.health_reasons t.pool with
+  else
+    match Aeq_exec.Pool.health_reasons t.pool with
     | [] -> Serving
     | reasons -> Degraded reasons
-  end
 
 let health_code = function
   | Serving -> 0
@@ -139,7 +130,8 @@ let register_gauges t =
     (fun () ->
       match health t with Degraded rs -> List.length rs | _ -> 0)
 
-let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) () =
+let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) ?restart_policy ()
+    =
   let n_threads =
     match n_threads with
     | Some n -> Stdlib.max 1 n
@@ -160,7 +152,7 @@ let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) () =
   let t =
     {
       catalog = Aeq_storage.Catalog.create ?chunk_size ();
-      pool = Aeq_exec.Pool.create ~supervised ~n_threads ();
+      pool = Aeq_exec.Pool.create ~supervised ?restart_policy ~n_threads ();
       cost_model;
       plan_cache = Hashtbl.create 64;
       cache_lock = Aeq_race.Lock.create "engine.cache.lock";
@@ -170,14 +162,7 @@ let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) () =
       sched_lock = Aeq_race.Lock.create "engine.sched.lock";
       sched_loc = Aeq_race.locate "engine.scheduler_slot";
       scheduler = None;
-      sched_config =
-        (* several dispatcher domains so the admission path keeps
-           multiple accepted queries in flight at once *)
-        {
-          Aeq_exec.Scheduler.default_config with
-          dispatchers = n_threads;
-          supervised;
-        };
+      sched_config = Aeq_exec.Scheduler.default_config;
       cache_enabled = true;
       cache_capacity = default_cache_capacity;
       cache_tick = 0;
@@ -397,6 +382,7 @@ let cached_executions t sql =
 
 let error_label = function
   | Aeq_exec.Query_error.Trap _ -> "trap"
+  | Aeq_exec.Query_error.Injected _ -> "injected"
   | Aeq_exec.Query_error.Compile_failed _ -> "compile_failed"
   | Aeq_exec.Query_error.Timeout _ -> "timeout"
   | Aeq_exec.Query_error.Cancelled -> "cancelled"
@@ -439,13 +425,11 @@ let with_query_obs mode f =
       raise e
   end
 
-let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_seconds
-    ?cancel ?memory_budget_bytes ?on_compile_failure t sql =
-  (* admission gate: a draining engine takes no new work, but queries
-     already executing (including scheduler-dispatched ones marked
-     in-flight before the drain began) run to completion *)
-  if Atomic.get t.draining && not (Aeq_exec.Scheduler.executing_here ()) then
-    Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Rejected "draining");
+(* [query] without its admission gate: the scheduler's [exec], so the
+   tickets it admitted before a drain began — queued or retrying — run
+   to completion *)
+let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
+    ?timeout_seconds ?cancel ?memory_budget_bytes ?on_compile_failure t sql =
   with_query_obs mode @@ fun () ->
   let cache_enabled =
     with_lock t.cache_lock (fun () ->
@@ -474,8 +458,7 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
          same structured error contract as every other injected site *)
       try prepare_entry t sql
       with Aeq_util.Failpoints.Injected site ->
-        Aeq_exec.Query_error.raise_error
-          (Aeq_exec.Query_error.Trap ("injected fault at " ^ site))
+        Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Injected site)
     in
     let initial_modes =
       with_lock t.cache_lock (fun () ->
@@ -500,6 +483,14 @@ let query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false) ?timeout_s
           entry.ce_modes <- r.Aeq_exec.Driver.final_cm_modes);
     r
   end
+
+(* admission gate: a draining engine takes no new direct work *)
+let query ?mode ?collect_trace ?timeout_seconds ?cancel ?memory_budget_bytes
+    ?on_compile_failure t sql =
+  if Atomic.get t.draining then
+    Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Rejected "draining");
+  run_query ?mode ?collect_trace ?timeout_seconds ?cancel ?memory_budget_bytes
+    ?on_compile_failure t sql
 
 (* Translation validation at the whole-query level: the same statement
    through every execution mode (interpreter-only, both up-front
@@ -560,8 +551,8 @@ let set_scheduler_config t config =
         invalid_arg "Engine.set_scheduler_config: scheduler already running"
       | None -> t.sched_config <- config)
 
-(* Runs in a crashed dispatcher domain (supervisor reclaim, after the
-   scheduler completed the victim ticket): release the single-flight
+(* Runs in a pool worker that crashed while serving, after the
+   scheduler answered the victim ticket: release the single-flight
    prepare claim this domain held, if any, so peers blocked on
    [prep_done] wake up and re-prepare instead of waiting forever. *)
 let release_preparing_claim ~name:_ _exn =
@@ -582,10 +573,11 @@ let scheduler t =
       | Some s -> s
       | None ->
         let s =
-          Aeq_exec.Scheduler.create ~config:t.sched_config
+          Aeq_exec.Scheduler.create ~config:t.sched_config ~pool:t.pool
             ~arena:(Aeq_storage.Catalog.arena t.catalog)
             ~on_domain_crash:release_preparing_claim
-            ~exec:(fun ~mode ~cancel sql -> query ~mode ~cancel t sql)
+            ~exec:(fun ~mode ~cancel ~timeout_seconds sql ->
+              run_query ~mode ~cancel ?timeout_seconds t sql)
             ()
         in
         t.scheduler <- Some s;

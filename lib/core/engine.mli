@@ -26,17 +26,23 @@ val create :
   ?cost_model:Aeq_backend.Cost_model.t ->
   ?chunk_size:int ->
   ?supervised:bool ->
+  ?restart_policy:Aeq_exec.Supervisor.policy ->
   unit ->
   t
 (** [n_threads] defaults to the machine's domain count (max 8);
     [cost_model] defaults to the paper-calibrated model with simulated
     LLVM-magnitude compile latencies (pass
     [Aeq_backend.Cost_model.off] for real latencies only).
-    [supervised] (default [true]) runs every serving domain — pool
-    workers, scheduler dispatchers, the watchdog — under a
-    {!Aeq_exec.Supervisor} crash barrier with self-healing restarts;
-    [false] reverts to bare domains (the supervision-overhead
-    benchmark). *)
+
+    The engine's only domains are its {!Aeq_exec.Pool} workers:
+    [n_threads - 1] of them, plus one more once the first query is
+    {!submit}ted, so an engine that serves runs [n_threads] domains
+    besides its callers and a 1-thread engine that only runs {!query}
+    runs none. [supervised] (default [true]) runs every worker under
+    an {!Aeq_exec.Supervisor} crash barrier with self-healing restarts
+    governed by [restart_policy] (default
+    {!Aeq_exec.Supervisor.default_policy}); [false] reverts to bare
+    domains (the supervision-overhead benchmark). *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 
@@ -132,8 +138,9 @@ val submit :
     goes through admission control: a full queue rejects with
     {!Aeq_exec.Query_error.Overloaded}, overload degrades execution to
     bytecode-only, compile failures engine-wide can trip the circuit
-    breaker, and deadline overruns are cancelled by the watchdog. See
-    {!Aeq_exec.Scheduler} for the full contract. *)
+    breaker, and a query that overruns its deadline stops with
+    [Timeout] at the next morsel boundary. The query is served on a
+    pool worker. See {!Aeq_exec.Scheduler} for the full contract. *)
 
 val query_concurrent :
   ?mode:Aeq_exec.Driver.mode ->
@@ -228,13 +235,14 @@ val reset_stats : t -> unit
 
 (** {1 Health, drain & self-healing}
 
-    Serving domains run under {!Aeq_exec.Supervisor} barriers: a
-    domain crash (an unstructured exception escaping a dispatcher,
-    the watchdog, or a pool worker) is contained, its orphaned state
-    reclaimed — the affected client gets a structured
-    [Query_error.Worker_crashed] instead of a hung [await] — and the
-    domain restarts under a backoff budget. The engine aggregates the
-    supervisors into one health state. *)
+    Pool workers — the engine's only domains — run under
+    {!Aeq_exec.Supervisor} barriers: a worker crash (an unstructured
+    exception escaping a query it serves or a morsel it runs) is
+    contained, its orphaned state reclaimed — the affected client gets
+    a structured [Query_error.Worker_crashed] instead of a hung
+    [await] — and the worker restarts under the engine's restart
+    policy. The engine aggregates the supervisors into one health
+    state. *)
 
 type health =
   | Serving  (** all serving domains healthy *)

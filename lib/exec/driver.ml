@@ -115,7 +115,7 @@ let error_of_exn = function
        contract whichever limit tripped *)
     Query_error.Memory_budget_exceeded
       { budget_bytes = limit_bytes; used_bytes = resident_bytes }
-  | Aeq_util.Failpoints.Injected site -> Query_error.Trap ("injected fault at " ^ site)
+  | Aeq_util.Failpoints.Injected site -> Query_error.Injected site
   | e -> Query_error.Trap (Printexc.to_string e)
 
 (* rows small enough that pool wakeups cost more than they buy *)
@@ -139,7 +139,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
        surface as a structured error, not a raw exception *)
     try A.lease arena
     with Aeq_util.Failpoints.Injected site ->
-      Query_error.raise_error (Query_error.Trap ("injected fault at " ^ site))
+      Query_error.raise_error (Query_error.Injected site)
   in
   (* Zero-width leak window: every line from here on runs inside the
      [Fun.protect] at the bottom whose finaliser releases the lease, so
@@ -526,7 +526,7 @@ let execute_prepared ?(collect_trace = false) ?initial_modes ?timeout_seconds ?c
           (Query_error.Memory_budget_exceeded
              { budget_bytes = limit_bytes; used_bytes = resident_bytes })
       | Aeq_util.Failpoints.Injected site ->
-        Query_error.raise_error (Query_error.Trap ("injected fault at " ^ site)))
+        Query_error.raise_error (Query_error.Injected site))
 
 let execute ?cost_model ?collect_trace ?initial_modes ?timeout_seconds ?cancel
     ?memory_budget_bytes ?on_compile_failure catalog plan ~mode ~pool =

@@ -1,4 +1,5 @@
-(* Multi-tenant worker pool over OCaml domains.
+(* Multi-tenant worker pool over OCaml domains — the engine's only
+   source of domains.
 
    The old pool was single-tenant: one job slot per worker and a
    done-count barrier meant a second query's pipeline had to wait for
@@ -14,7 +15,9 @@
    within a job, so per-tid state (allocators, output buffers) stays
    single-writer. The submitting caller always participates as tid 0 —
    a query makes progress even when every worker domain is busy
-   elsewhere.
+   elsewhere. A [post]ed job has no caller and runs on one worker: the
+   scheduler posts one per admitted query, and workers take it ahead
+   of helping (it has no participant yet).
 
    Workers run under supervision (see [Supervisor]): a crash —
    anything [fn] throws that is not part of the structured-error
@@ -23,7 +26,8 @@
    submitting caller in its drain barrier forever. The supervisor's
    reclaim fixes the accounting (decrement [active], record a
    [Worker_crashed] as the job error, wake the barrier) and restarts
-   the worker domain. *)
+   the worker domain. A posted job has no accounting here: it reclaims
+   what it holds in its own exception handler. *)
 
 module QE = Query_error
 
@@ -42,24 +46,32 @@ type job = {
   j_loc : Aeq_race.location;
 }
 
+type posted = { serve : worker:string -> unit; abandon : string -> unit }
+
 type t = {
   n_threads : int;
   supervised : bool;
+  restart_policy : Supervisor.policy;
   lock : Aeq_race.Lock.t;
   work : Condition.t; (* new job posted / job list changed *)
   quiet : Condition.t; (* a participant left some job *)
   mutable jobs : job list;
+  posted : posted Queue.t; (* not taken by a worker yet *)
   mutable stop : bool;
   current : job option array;
       (* per-worker claimed-job slot, written under [lock] — what the
          supervisor's reclaim repairs when worker [w] crashes *)
-  mutable domains : unit Domain.t array; (* unsupervised mode *)
-  mutable supervisors : Supervisor.t array; (* supervised mode *)
+  mutable spawned : int; (* workers spawned so far *)
+  mutable domains : unit Domain.t list; (* unsupervised mode *)
+  mutable supervisors : Supervisor.t list; (* supervised mode, newest first *)
+  mutable gave_up : int; (* workers whose restart budget ran out *)
   closed : bool Atomic.t;
   active_jobs : int Atomic.t;
   jobs_loc : Aeq_race.location;
   current_loc : Aeq_race.location;
 }
+
+let no_workers_left = "no serving domains left (restart budget exhausted)"
 
 (* under t.lock: the open job with the fewest claimed tids *)
 let pick_job t =
@@ -88,25 +100,34 @@ let run_participant j ~tid =
     raise e
   | e -> ignore (Atomic.compare_and_set j.error None (Some e))
 
+let worker_name w = Printf.sprintf "pool.worker-%d" w
+
 let worker_loop t w () =
   let running = ref true in
   while !running do
     Aeq_race.Lock.lock t.lock;
     let rec await () =
-      Aeq_race.read ~site:"pool.await" t.jobs_loc;
-      if t.stop then None
+      Aeq_race.write ~site:"pool.await" t.jobs_loc;
+      if t.stop then `Stop
       else
-        match pick_job t with
-        | Some j -> Some j
-        | None ->
-          Aeq_race.Lock.wait t.work t.lock;
-          await ()
+        match Queue.take_opt t.posted with
+        | Some p -> `Serve p
+        | None -> (
+          match pick_job t with
+          | Some j -> `Help j
+          | None ->
+            Aeq_race.Lock.wait t.work t.lock;
+            await ())
     in
     match await () with
-    | None ->
+    | `Stop ->
       Aeq_race.Lock.unlock t.lock;
       running := false
-    | Some j ->
+    | `Serve p ->
+      Aeq_race.Lock.unlock t.lock;
+      (* no caller to re-raise to: what escapes is this worker's crash *)
+      p.serve ~worker:(worker_name w)
+    | `Help j ->
       Aeq_race.write ~site:"pool.claim" j.j_loc;
       Aeq_race.write ~site:"pool.claim" t.current_loc;
       let tid = j.next_tid in
@@ -146,6 +167,40 @@ let worker_reclaim t w sv_name exn =
         Condition.broadcast t.quiet
       | None -> ())
 
+(* under t.lock: every posted job no worker has taken *)
+let take_posted t =
+  Aeq_race.write ~site:"pool.take_posted" t.jobs_loc;
+  let js = List.of_seq (Queue.to_seq t.posted) in
+  Queue.clear t.posted;
+  js
+
+(* When the last worker exhausts its restart budget nothing will ever
+   take a posted job again: hand them back to their posters now
+   instead of leaving their clients hanging. *)
+let worker_gave_up t _exn =
+  let orphans =
+    Aeq_race.Lock.with_ t.lock (fun () ->
+        Aeq_race.write ~site:"pool.gave_up" t.current_loc;
+        t.gave_up <- t.gave_up + 1;
+        if t.gave_up >= t.n_threads then take_posted t else [])
+  in
+  List.iter (fun p -> p.abandon no_workers_left) orphans
+
+(* under t.lock *)
+let spawn_worker t =
+  Aeq_race.write ~site:"pool.spawn" t.current_loc;
+  let w = t.spawned in
+  t.spawned <- w + 1;
+  if t.supervised then
+    t.supervisors <-
+      (Supervisor.spawn ~policy:t.restart_policy ~name:(worker_name w)
+         ~on_crash:(worker_reclaim t w (worker_name w))
+         ~on_give_up:(worker_gave_up t) (worker_loop t w) [@lint.allow "domain-spawn"])
+      :: t.supervisors
+  else
+    t.domains <-
+      (Aeq_race.spawn (worker_loop t w) [@lint.allow "domain-spawn"]) :: t.domains
+
 let create ?(supervised = true) ?(restart_policy = Supervisor.default_policy)
     ~n_threads () =
   let n_threads = Stdlib.max 1 n_threads in
@@ -153,30 +208,30 @@ let create ?(supervised = true) ?(restart_policy = Supervisor.default_policy)
     {
       n_threads;
       supervised;
+      restart_policy;
       lock = Aeq_race.Lock.create "pool.lock";
       work = Condition.create ();
       quiet = Condition.create ();
       jobs = [];
+      posted = Queue.create ();
       stop = false;
-      current = Array.make (Stdlib.max 1 (n_threads - 1)) None;
-      domains = [||];
-      supervisors = [||];
+      current = Array.make n_threads None;
+      spawned = 0;
+      domains = [];
+      supervisors = [];
+      gave_up = 0;
       closed = Atomic.make false;
       active_jobs = Atomic.make 0;
       jobs_loc = Aeq_race.locate "pool.jobs";
       current_loc = Aeq_race.locate "pool.current";
     }
   in
-  if supervised then
-    t.supervisors <-
-      Array.init (n_threads - 1) (fun w ->
-          let sv_name = Printf.sprintf "pool.worker-%d" w in
-          Supervisor.spawn ~policy:restart_policy ~name:sv_name
-            ~on_crash:(worker_reclaim t w sv_name)
-            (worker_loop t w))
-  else
-    t.domains <-
-      Array.init (n_threads - 1) (fun w -> Aeq_race.spawn (worker_loop t w));
+  (* a [run] caller is the n-th participant; a posted job has none, so
+     the n-th worker waits for the first [post] *)
+  Aeq_race.Lock.with_ t.lock (fun () ->
+      for _ = 2 to n_threads do
+        spawn_worker t
+      done);
   t
 
 let n_threads t = t.n_threads
@@ -187,10 +242,12 @@ let active_jobs t = Atomic.get t.active_jobs
 
 let busy t = active_jobs t > 0
 
-let health_reasons t =
-  Array.to_list t.supervisors |> List.filter_map Supervisor.health_reason
+let supervisors t =
+  Aeq_race.Lock.with_ t.lock (fun () ->
+      Aeq_race.read ~site:"pool.supervisors" t.current_loc;
+      List.rev t.supervisors)
 
-let supervisors t = Array.to_list t.supervisors
+let health_reasons t = List.filter_map Supervisor.health_reason (supervisors t)
 
 let run ?max_tids t fn =
   (* a submission to dead workers would never gain helpers *)
@@ -220,7 +277,8 @@ let run ?max_tids t fn =
      itself crashing as tid 0: the job must leave the open list and
      its barrier must drain, or the pool leaks the job and the
      in-flight gauge sticks. The crash then propagates to the caller's
-     own supervisor (the dispatcher's, usually). *)
+     own supervisor (a pool worker's, when the caller is serving a
+     posted query). *)
   let close_out () =
     Aeq_race.Lock.lock t.lock;
     Aeq_race.write ~site:"pool.close_out" t.jobs_loc;
@@ -237,9 +295,25 @@ let run ?max_tids t fn =
   Fun.protect ~finally:close_out (fun () -> run_participant j ~tid:0);
   match Atomic.get j.error with Some e -> raise e | None -> ()
 
+let post t ~abandon serve =
+  let refused =
+    Aeq_race.Lock.with_ t.lock (fun () ->
+        Aeq_race.write ~site:"pool.post" t.jobs_loc;
+        if t.stop then Some "pool is shut down"
+        else if t.gave_up >= t.n_threads then Some no_workers_left
+        else begin
+          if t.spawned < t.n_threads then spawn_worker t;
+          Queue.push { serve; abandon } t.posted;
+          Condition.signal t.work;
+          None
+        end)
+  in
+  Option.iter abandon refused
+
 (* Accounting coherence probe for the simulator's invariant checker:
    every open job's tid/participant counters must stay inside their
-   envelopes whatever interleaving the scheduler forced. *)
+   envelopes whatever interleaving the scheduler forced, and a posted
+   job must have a worker to take it. *)
 let check t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
@@ -247,6 +321,7 @@ let check t =
     err "active_jobs negative: %d" (Atomic.get t.active_jobs);
   Aeq_race.Lock.with_ t.lock (fun () ->
       Aeq_race.read ~site:"pool.check" t.jobs_loc;
+      Aeq_race.read ~site:"pool.check" t.current_loc;
       List.iter
         (fun j ->
           Aeq_race.read ~site:"pool.check" j.j_loc;
@@ -259,16 +334,24 @@ let check t =
         t.jobs;
       if List.length t.jobs > Atomic.get t.active_jobs then
         err "%d open jobs but active_jobs=%d" (List.length t.jobs)
-          (Atomic.get t.active_jobs));
+          (Atomic.get t.active_jobs);
+      if (not (Queue.is_empty t.posted)) && t.spawned < t.n_threads then
+        err "%d posted jobs but only %d of %d workers spawned"
+          (Queue.length t.posted) t.spawned t.n_threads);
   List.rev !errs
 
 let shutdown t =
   if Atomic.compare_and_set t.closed false true then begin
-    Aeq_race.Lock.with_ t.lock (fun () ->
-        Aeq_race.write ~site:"pool.shutdown" t.jobs_loc;
-        t.stop <- true;
-        Condition.broadcast t.work);
-    Array.iter Supervisor.stop t.supervisors;
-    Array.iter (fun d -> Aeq_race.join d) t.domains;
-    Array.iter Supervisor.join t.supervisors
+    let orphans =
+      Aeq_race.Lock.with_ t.lock (fun () ->
+          Aeq_race.write ~site:"pool.shutdown" t.jobs_loc;
+          t.stop <- true;
+          Condition.broadcast t.work;
+          take_posted t)
+    in
+    List.iter (fun p -> p.abandon "pool is shut down") orphans;
+    (* no spawn after [stop]: the worker lists are final *)
+    List.iter Supervisor.stop t.supervisors;
+    List.iter Aeq_race.join t.domains;
+    List.iter Supervisor.join t.supervisors
   end

@@ -1,4 +1,5 @@
-(** Multi-tenant worker pool over OCaml domains.
+(** Multi-tenant worker pool over OCaml domains — the engine's only
+    source of domains.
 
     One pool lives for the engine's lifetime. Each pipeline execution
     submits a job; worker domains join open jobs — least-staffed
@@ -6,8 +7,9 @@
     thread id, and run the job function until its morsel supply is
     exhausted. The submitting caller always participates as tid 0, so
     a query progresses even when all workers are busy elsewhere, and a
-    1-thread pool runs entirely inline. Unlike the old single-tenant
-    barrier pool, several queries' pipelines execute concurrently.
+    1-thread pool runs entirely inline. {!post}ed jobs (one per
+    admitted query) have no caller, so a pool spawns [n_threads - 1]
+    workers at {!create} and the [n_threads]-th with the first post.
 
     Workers are supervised (see {!Supervisor}): an unstructured
     exception escaping a job function — a crash — is contained by the
@@ -51,6 +53,16 @@ val run : ?max_tids:int -> t -> (tid:int -> unit) -> unit
     barrier drains — and then propagates to the caller's supervisor.
     @raise Invalid_argument if the pool has been {!shutdown}. *)
 
+val post : t -> abandon:(string -> unit) -> (worker:string -> unit) -> unit
+(** Queue [serve] for one worker and return at once; workers take
+    posted jobs FIFO, ahead of helping with {!run} jobs, and pass
+    their name as [worker]. Anything [serve] lets escape is the
+    worker's crash (its supervisor restarts it), so a posted job
+    reclaims what it holds in its own exception handler. If no worker
+    will ever take the job — the pool is shut down, or every worker
+    has exhausted its restart budget — [abandon reason] is called
+    instead. *)
+
 val closed : t -> bool
 
 val busy : t -> bool
@@ -58,22 +70,24 @@ val busy : t -> bool
     nature, do not synchronise on it. *)
 
 val active_jobs : t -> int
-(** Number of jobs currently in flight (submitted, not yet drained). *)
+(** Number of {!run} jobs currently in flight (submitted, not yet
+    drained). *)
 
 val check : t -> string list
-(** Cross-check per-job participant accounting (claimed tids vs
-    active participants vs the in-flight job counter). Empty =
-    coherent. Run by the deterministic simulator's invariant checker
-    at yield points. Takes the pool lock. *)
+(** Cross-check job accounting (claimed tids vs active participants
+    vs the in-flight job counter; a posted job has at most one
+    participant and a worker to take it). Empty = coherent. Run by the
+    deterministic simulator's invariant checker at yield points. Takes
+    the pool lock. *)
 
 val health_reasons : t -> string list
 (** One reason per supervised worker currently crashed-and-backing-off
     or failed. Empty = all workers healthy (or pool unsupervised). *)
 
 val supervisors : t -> Supervisor.t list
-(** Worker supervisors, for tests and introspection. Empty when
+(** Worker supervisors, for stats, tests and introspection. Empty when
     [supervised = false]. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains (and their supervisors).
-    Idempotent. *)
+(** Abandon the posted jobs no worker has taken, then stop and join
+    the worker domains (and their supervisors). Idempotent. *)

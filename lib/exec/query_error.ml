@@ -2,6 +2,7 @@ module CM = Aeq_backend.Cost_model
 
 type t =
   | Trap of string
+  | Injected of string
   | Compile_failed of CM.mode * string
   | Timeout of float
   | Cancelled
@@ -19,6 +20,7 @@ let mode_name = function
 
 let to_string = function
   | Trap m -> "runtime trap: " ^ m
+  | Injected site -> "runtime trap: injected fault at " ^ site
   | Compile_failed (mode, detail) ->
     Printf.sprintf "compilation to %s failed: %s" (mode_name mode) detail
   | Timeout s -> Printf.sprintf "query exceeded its %.3f s timeout" s
@@ -44,15 +46,12 @@ let raise_error e = raise (Error e)
 (* Injected faults stand in for the transient infrastructure failures
    (an allocation hiccup, a flaky compile worker) that a serving layer
    retries; real query bugs (division by zero, budget breaches) are
-   deterministic and must not be retried. *)
+   deterministic and must not be retried, whatever their message says. *)
 let transient = function
-  | Trap m ->
-    let prefix = "injected fault" in
-    String.length m >= String.length prefix
-    && String.sub m 0 (String.length prefix) = prefix
+  | Injected _ -> true
   (* a crashed worker says nothing about the query itself: the
      supervisor restarts the domain and a retry is the right response *)
   | Worker_crashed _ -> true
-  | Compile_failed _ | Timeout _ | Cancelled | Memory_budget_exceeded _ | Overloaded _
-  | Rejected _ ->
+  | Trap _ | Compile_failed _ | Timeout _ | Cancelled | Memory_budget_exceeded _
+  | Overloaded _ | Rejected _ ->
     false

@@ -9,7 +9,12 @@
 type t =
   | Trap of string
       (** a runtime trap from query code: division by zero, overflow,
-          abort, or an injected fault *)
+          abort *)
+  | Injected of string
+      (** a fault armed through [Aeq_util.Failpoints] fired at the named
+          site — the chaos-testing stand-in for a transient
+          infrastructure failure. The wire protocol encodes it as the
+          trap ["injected fault at <site>"]. *)
   | Compile_failed of Aeq_backend.Cost_model.mode * string
       (** a statically-requested compilation failed and degradation
           was disabled ([`Fail]); the detail string carries the
@@ -30,8 +35,8 @@ type t =
           while still queued, the scheduler was draining, or it was
           shut down *)
   | Worker_crashed of { domain : string; detail : string }
-      (** the serving domain (dispatcher or pool worker) holding this
-          query died on an unstructured exception; the supervisor
+      (** the pool worker holding this query (serving it, or helping
+          with its morsels) died on an unstructured exception; the supervisor
           reclaimed the query's state and restarted the domain.
           [domain] names the casualty, [detail] carries the printed
           exception. Classified {!transient}: the crash says nothing
@@ -44,10 +49,10 @@ val to_string : t -> string
 val raise_error : t -> 'a
 
 val transient : t -> bool
-(** Is the failure worth retrying? [Trap]s carrying an injected fault
-    (the chaos-testing stand-in for transient infrastructure failures)
-    and [Worker_crashed] (the domain died, not the query) are
-    transient; deterministic query errors — real traps, compile
-    failures, timeouts, cancellations, budget breaches, scheduler
-    rejections — are not. The scheduler retries transient failures
+(** Is the failure worth retrying? [Injected] faults (the
+    chaos-testing stand-in for transient infrastructure failures) and
+    [Worker_crashed] (the domain died, not the query) are transient;
+    deterministic query errors — real traps (whatever their message),
+    compile failures, timeouts, cancellations, budget breaches,
+    scheduler rejections — are not. The scheduler retries transient failures
     with backoff, bounded by the query's deadline. *)

@@ -31,7 +31,6 @@ let priority_name = function Low -> "low" | Normal -> "normal" | High -> "high"
 let queue_index = function High -> 0 | Normal -> 1 | Low -> 2
 
 type config = {
-  dispatchers : int; (* dispatcher domains = queries concurrently in flight *)
   queue_capacity : int;
   shed_queue_depth : int;
   shed_resident_bytes : int option;
@@ -42,15 +41,11 @@ type config = {
   breaker_cooldown_max : float;
   max_retries : int;
   retry_backoff : float;
-  watchdog_period : float;
   seed : int64;
-  supervised : bool;
-  restart_policy : Supervisor.policy;
 }
 
 let default_config =
   {
-    dispatchers = 1;
     queue_capacity = 64;
     shed_queue_depth = 48;
     shed_resident_bytes = None;
@@ -61,10 +56,7 @@ let default_config =
     breaker_cooldown_max = 30.0;
     max_retries = 2;
     retry_backoff = 0.01;
-    watchdog_period = 0.005;
     seed = 0x5CEDC0FFEEL;
-    supervised = true;
-    restart_policy = Supervisor.default_policy;
   }
 
 type outcome = (Driver.result, QE.t) result
@@ -85,7 +77,6 @@ type ticket = {
   tk_loc : Aeq_race.location;
   mutable tk_state : state;
   mutable tk_started : float; (* -1. until dispatched *)
-  mutable tk_watchdog_fired : bool;
   mutable tk_degraded : bool;
   mutable tk_retries : int;
 }
@@ -107,7 +98,7 @@ type stats = {
   completed : int;
   failed : int;
   degraded : int;
-  watchdog_cancels : int;
+  timeouts : int;
   breaker_trips : int;
   breaker_state : breaker_state;
   queue_depth : int;
@@ -130,7 +121,7 @@ let zero_stats =
     completed = 0;
     failed = 0;
     degraded = 0;
-    watchdog_cancels = 0;
+    timeouts = 0;
     breaker_trips = 0;
     breaker_state = Closed;
     queue_depth = 0;
@@ -146,10 +137,15 @@ let zero_stats =
    reverse. [await] and the ticket accessors take only [tk_lock]. *)
 type t = {
   cfg : config;
-  exec : mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result;
+  exec :
+    mode:Driver.mode ->
+    cancel:Cancel.t ->
+    timeout_seconds:float option ->
+    string ->
+    Driver.result;
   arena : Aeq_mem.Arena.t option;
+  pool : Pool.t;
   lock : Aeq_race.Lock.t;
-  work : Condition.t; (* signalled on admit and on shutdown *)
   queues_loc : Aeq_race.location;
   counters_loc : Aeq_race.location;
   running_loc : Aeq_race.location;
@@ -161,14 +157,8 @@ type t = {
   mutable stopped : bool;
   mutable draining : bool; (* admission closed; in-flight may finish *)
   running_tks : (int, ticket) Hashtbl.t;
-      (* in-flight tickets by id — what the watchdog supervises; with
-         several dispatchers there are up to [cfg.dispatchers] at once *)
-  current : ticket option array;
-      (* per-dispatcher serving slot, written under [lock]: what the
-         supervisor reclaims (completes as [Worker_crashed]) if that
-         dispatcher's domain crashes mid-serve *)
+      (* in-flight tickets by id — what drain waits for and cancels *)
   on_domain_crash : name:string -> exn -> unit;
-  mutable failed_dispatchers : int; (* dispatchers whose supervisor gave up *)
   (* circuit breaker *)
   mutable brk : breaker_state;
   mutable brk_until : float; (* Open: earliest half-open probe *)
@@ -184,21 +174,20 @@ type t = {
   mutable n_completed : int;
   mutable n_failed : int;
   mutable n_degraded : int;
-  mutable n_watchdog_cancels : int;
+  mutable n_timeouts : int;
   mutable n_breaker_trips : int;
   mutable n_crashed_tickets : int;
   mutable max_depth : int;
   mutable total_wait : float;
   mutable n_waits : int;
   mutable max_wait : float;
-  wd_waiter : Aeq_util.Waiter.t; (* watchdog inter-sweep sleep; woken on shutdown *)
-  retry_waiters : Aeq_util.Waiter.t array;
-      (* per-dispatcher retry backoff sleep; all woken on shutdown so a
-         retrying dispatcher never stalls close by a full backoff *)
+  retry_waiter : Aeq_util.Waiter.t;
+      (* retry backoff sleep of every serving worker; woken by drain
+         and shutdown so a retrying query never stalls them by a full
+         backoff *)
   quiet_waiter : Aeq_util.Waiter.t;
-      (* poked whenever in-flight work finishes; [drain] sleeps on it *)
-  mutable domains : unit Domain.t list; (* unsupervised mode *)
-  mutable supervisors : Supervisor.t list; (* supervised mode *)
+      (* poked whenever in-flight work finishes; [drain] and [shutdown]
+         sleep on it *)
 }
 
 let with_lock m f = Aeq_race.Lock.with_ m f
@@ -321,56 +310,56 @@ let breaker_feed t tk outcome n_cf =
 (* Runs outside t.lock (takes it briefly for jitter draws and retry
    accounting). Returns the outcome plus the compile failures seen
    across attempts, for the breaker. *)
-let attempt_loop t rw tk eff_mode =
+let attempt_loop t tk eff_mode =
   let rec go attempt cf_acc =
-    match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel tk.tk_sql with
+    (* the driver checks its timeout at every morsel boundary: hand it
+       what is left of the client's deadline, plus the grace *)
+    let timeout_seconds =
+      Option.map (fun d -> d +. t.cfg.deadline_grace -. Clock.now ()) tk.tk_deadline
+    in
+    match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel ~timeout_seconds tk.tk_sql with
     | r -> (Ok r, cf_acc + r.Driver.stats.Driver.compile_failures)
     | exception e when Aeq_util.Failpoints.is_crash e ->
-      (* an injected domain kill must stay lethal: let it unwind out of
-         the dispatcher so the supervisor path (reclaim + restart) is
-         what answers the client, not this conversion layer *)
+      (* an injected domain kill must stay lethal: let it unwind to
+         the crash path of [serve_next] (answer + worker restart), not
+         this conversion layer *)
       raise e
+    | exception QE.Error (QE.Timeout _ as e) ->
+      (* the driver's allowance includes the grace: report the
+         client's, which is what it asked for *)
+      ( Error
+          (match tk.tk_deadline_seconds with Some s -> QE.Timeout s | None -> e),
+        cf_acc )
     | exception QE.Error e ->
-      let watchdogged =
-        with_lock tk.tk_lock (fun () ->
-            Aeq_race.read ~site:"sched.retry" tk.tk_loc;
-            tk.tk_watchdog_fired)
+      let cf_acc = cf_acc + (match e with QE.Compile_failed _ -> 1 | _ -> 0) in
+      let backoff_cap = t.cfg.retry_backoff *. (2.0 ** float_of_int attempt) in
+      let deadline_allows =
+        match tk.tk_deadline with
+        | None -> true
+        | Some d -> Clock.now () +. backoff_cap < d
       in
-      if e = QE.Cancelled && watchdogged then
-        (* the watchdog killed it for blowing its deadline: surface the
-           reason, not the mechanism *)
-        (Error (QE.Timeout (Option.value tk.tk_deadline_seconds ~default:0.0)), cf_acc)
-      else begin
-        let cf_acc = cf_acc + (match e with QE.Compile_failed _ -> 1 | _ -> 0) in
-        let backoff_cap = t.cfg.retry_backoff *. (2.0 ** float_of_int attempt) in
-        let deadline_allows =
-          match tk.tk_deadline with
-          | None -> true
-          | Some d -> Clock.now () +. backoff_cap < d
+      if
+        QE.transient e
+        && attempt < t.cfg.max_retries
+        && deadline_allows
+        && not (Cancel.cancelled tk.tk_cancel)
+      then begin
+        let jitter =
+          with_lock t.lock (fun () ->
+              Aeq_race.write ~site:"sched.retry" t.counters_loc;
+              t.n_retried <- t.n_retried + 1;
+              obs_bump "retried" ~help:"Transient-failure retry attempts.";
+              Prng.float t.prng backoff_cap)
         in
-        if
-          QE.transient e
-          && attempt < t.cfg.max_retries
-          && deadline_allows
-          && not (Cancel.cancelled tk.tk_cancel)
-        then begin
-          let jitter =
-            with_lock t.lock (fun () ->
-                Aeq_race.write ~site:"sched.retry" t.counters_loc;
-                t.n_retried <- t.n_retried + 1;
-                obs_bump "retried" ~help:"Transient-failure retry attempts.";
-                Prng.float t.prng backoff_cap)
-          in
-          with_lock tk.tk_lock (fun () ->
-              Aeq_race.write ~site:"sched.retry" tk.tk_loc;
-              tk.tk_retries <- tk.tk_retries + 1);
-          (* interruptible backoff: a plain sleep here would hold the
-             dispatcher hostage through shutdown for a full backoff *)
-          ignore (Aeq_util.Waiter.wait rw jitter);
-          go (attempt + 1) cf_acc
-        end
-        else (Error e, cf_acc)
+        with_lock tk.tk_lock (fun () ->
+            Aeq_race.write ~site:"sched.retry" tk.tk_loc;
+            tk.tk_retries <- tk.tk_retries + 1);
+        (* interruptible backoff: a plain sleep here would hold the
+           worker hostage through shutdown for a full backoff *)
+        ignore (Aeq_util.Waiter.wait t.retry_waiter jitter);
+        go (attempt + 1) cf_acc
       end
+      else (Error e, cf_acc)
     | exception e ->
       (* the engine's exec contract is Query_error-only; anything else
          is a bug we still turn into a structured response *)
@@ -378,7 +367,7 @@ let attempt_loop t rw tk eff_mode =
   in
   go 0 0
 
-(* ---- dispatcher ------------------------------------------------------ *)
+(* ---- serving on pool workers ----------------------------------------- *)
 
 (* under t.lock: oldest live ticket of the highest non-empty class *)
 let pop_live t =
@@ -391,89 +380,6 @@ let pop_live t =
       match from_queue t.queues.(i) with Some tk -> Some tk | None -> scan (i + 1)
   in
   scan 0
-
-(* Serve one ticket on dispatcher [di]. Called and returns with t.lock
-   NOT held; every critical section inside is [Fun.protect]ed
-   ([with_lock]) so no exception — injected crash included — can
-   abandon the scheduler mutex. While the query executes, the ticket
-   sits in [t.current.(di)]: the dispatcher's supervisor completes it
-   with [Worker_crashed] if this domain dies before [finish]. *)
-let serve t di tk =
-  let decision =
-    with_lock t.lock (fun () ->
-        Aeq_race.write ~site:"sched.serve" t.counters_loc;
-        Aeq_race.write ~site:"sched.serve" t.running_loc;
-        let now = Clock.now () in
-        match tk.tk_deadline with
-        | Some d when now > d ->
-          (* expired while queued (between watchdog sweeps) *)
-          t.n_expired <- t.n_expired + 1;
-          obs_bump "expired" ~help:"Queries whose deadline passed while queued.";
-          None
-        | _ ->
-          let wait = now -. tk.tk_submitted in
-          t.total_wait <- t.total_wait +. wait;
-          t.n_waits <- t.n_waits + 1;
-          if wait > t.max_wait then t.max_wait <- wait;
-          (* overload & breaker decide how much this query may spend *)
-          let wants_compile = tk.tk_mode <> Driver.Bytecode in
-          let overloaded =
-            t.queued > t.cfg.shed_queue_depth
-            || (match (t.cfg.shed_resident_bytes, t.arena) with
-               | Some b, Some a -> Aeq_mem.Arena.resident_bytes a > b
-               | _ -> false)
-            (* near the scratch cap, compiling (and its scratch spike)
-               is the wrong thing to spend memory on: degrade to
-               bytecode until backpressure drains *)
-            || (match t.arena with
-               | Some a -> Aeq_mem.Arena.scratch_under_pressure a
-               | None -> false)
-          in
-          let compile_allowed =
-            (not wants_compile)
-            || ((not overloaded) && breaker_allow t tk.tk_id now)
-          in
-          let eff_mode = if compile_allowed then tk.tk_mode else Driver.Bytecode in
-          if eff_mode <> tk.tk_mode then begin
-            t.n_degraded <- t.n_degraded + 1;
-            obs_bump "degraded" ~help:"Executions forced to bytecode-only."
-          end;
-          Hashtbl.replace t.running_tks tk.tk_id tk;
-          t.current.(di) <- Some tk;
-          Some eff_mode)
-  in
-  match decision with
-  | None -> complete tk (Error (QE.Rejected "deadline expired in admission queue"))
-  | Some eff_mode ->
-    (* the ticket is now reclaimable: a crash from here on is the
-       supervisor's to answer. The dispatch site sits exactly in that
-       window so the [Crash] action exercises the reclaim path. *)
-    Aeq_util.Failpoints.hit "sched.dispatch";
-    Aeq_util.Yieldpoint.yield "sched.dispatch";
-    with_lock tk.tk_lock (fun () ->
-        Aeq_race.write ~site:"sched.dispatch" tk.tk_loc;
-        tk.tk_state <- Running;
-        tk.tk_started <- Clock.now ();
-        tk.tk_degraded <- eff_mode <> tk.tk_mode);
-    let outcome, n_cf =
-      if Cancel.cancelled tk.tk_cancel then (Error QE.Cancelled, 0)
-      else attempt_loop t t.retry_waiters.(di) tk eff_mode
-    in
-    with_lock t.lock (fun () ->
-        Aeq_race.write ~site:"sched.finish" t.counters_loc;
-        Aeq_race.write ~site:"sched.finish" t.running_loc;
-        t.current.(di) <- None;
-        Hashtbl.remove t.running_tks tk.tk_id;
-        breaker_feed t tk outcome n_cf;
-        match outcome with
-        | Ok _ ->
-          t.n_completed <- t.n_completed + 1;
-          obs_bump "completed" ~help:"Queries finished with rows."
-        | Error _ ->
-          t.n_failed <- t.n_failed + 1;
-          obs_bump "failed" ~help:"Queries finished with a structured error.");
-    complete tk outcome;
-    Aeq_util.Waiter.wake t.quiet_waiter
 
 (* under t.lock: answer every still-queued client now, not a hang *)
 let reject_queued t reason =
@@ -493,105 +399,136 @@ let reject_queued t reason =
     t.queues;
   t.queued <- 0
 
-(* Marks dispatcher domains so the engine's drain admission gate can
-   tell a dispatcher-driven [exec] call (already-admitted work that
-   must run to completion) from a fresh direct client. Sticky per
-   domain — dispatchers are dedicated, and in-domain supervised
-   restarts keep the identity. *)
-let dispatcher_here : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
-let executing_here () = !(Domain.DLS.get dispatcher_here)
-
-let dispatcher_loop t di () =
-  Domain.DLS.get dispatcher_here := true;
-  let running = ref true in
-  while !running do
-    let next =
-      with_lock t.lock (fun () ->
-          let rec get () =
-            Aeq_race.write ~site:"sched.pop" t.queues_loc;
-            if t.stopped then begin
-              (* fail-fast drain: pending clients get a structured
-                 answer now *)
-              reject_queued t "scheduler is shut down";
-              None
-            end
-            else if t.queued > 0 then begin
-              match pop_live t with
-              | Some tk ->
-                t.queued <- t.queued - 1;
-                Some tk
-              | None ->
-                t.queued <- 0;
-                (* counter drift guard; unreachable *)
-                get ()
-            end
-            else begin
-              Aeq_race.Lock.wait t.work t.lock;
-              get ()
-            end
-          in
-          get ())
-    in
-    match next with
-    | Some tk -> serve t di tk
-    | None -> running := false
-  done
-
-(* ---- watchdog -------------------------------------------------------- *)
-
-let watchdog_loop t () =
-  let running = ref true in
-  while !running do
-    (* interruptible inter-sweep sleep: shutdown wakes the waiter, so
-       closing the scheduler never stalls a full watchdog period *)
-    ignore (Aeq_util.Waiter.wait t.wd_waiter t.cfg.watchdog_period);
-    Aeq_util.Failpoints.hit "sched.watchdog";
-    Aeq_util.Yieldpoint.yield "sched.watchdog";
+(* The pool job of one admitted ticket, run by pool worker [worker]:
+   serve the queue's next ticket — the job binds one only now, so the
+   queue, not the pool, decides the serving order. Popping, the
+   deadline check and registering as running share one critical
+   section, so [drain] and [shutdown] never see a ticket that is
+   neither queued nor running. Every critical section is [with_lock]ed
+   so no exception — injected crash included — can abandon the
+   scheduler mutex. *)
+let serve_next t ~worker =
+  let claimed =
     with_lock t.lock (fun () ->
-        Aeq_race.read ~site:"sched.watchdog" t.queues_loc;
-        Aeq_race.read ~site:"sched.watchdog" t.running_loc;
-        if t.stopped then running := false
-        else begin
-          let now = Clock.now () in
-          (* in-flight queries: cancel past deadline + grace *)
-          Hashtbl.iter
-            (fun _ tk ->
-              match tk.tk_deadline with
-              | Some d when now > d +. t.cfg.deadline_grace ->
-                let fresh =
-                  with_lock tk.tk_lock (fun () ->
-                      Aeq_race.write ~site:"sched.watchdog" tk.tk_loc;
-                      let fresh = not tk.tk_watchdog_fired in
-                      if fresh then tk.tk_watchdog_fired <- true;
-                      fresh)
-                in
-                if fresh then begin
-                  Cancel.cancel tk.tk_cancel;
-                  Aeq_race.write ~site:"sched.watchdog" t.counters_loc;
-                  t.n_watchdog_cancels <- t.n_watchdog_cancels + 1;
-                  obs_bump "watchdog_cancels" ~help:"Running queries cancelled past deadline+grace."
-                end
-              | _ -> ())
-            t.running_tks;
-          (* queued queries whose deadline already passed: answer now
-             instead of wasting a dispatch slot later *)
-          Array.iter
-            (fun q ->
-              Queue.iter
-                (fun tk ->
-                  match tk.tk_deadline with
-                  | Some d when now > d && not (is_done tk) ->
-                    t.n_expired <- t.n_expired + 1;
-                    obs_bump "expired" ~help:"Queries whose deadline passed while queued.";
-                    t.queued <- t.queued - 1;
-                    complete tk (Error (QE.Rejected "deadline expired in admission queue"))
-                  | _ -> ())
-                q)
-            t.queues
-        end)
-  done
+        Aeq_race.write ~site:"sched.serve" t.queues_loc;
+        Aeq_race.write ~site:"sched.serve" t.counters_loc;
+        Aeq_race.write ~site:"sched.serve" t.running_loc;
+        if t.queued = 0 then None (* the ticket was shed or rejected *)
+        else
+          match pop_live t with
+          | None ->
+            t.queued <- 0;
+            (* counter drift guard; unreachable *)
+            None
+          | Some tk -> (
+            t.queued <- t.queued - 1;
+            let now = Clock.now () in
+            match tk.tk_deadline with
+            | Some d when now > d ->
+              t.n_expired <- t.n_expired + 1;
+              obs_bump "expired" ~help:"Queries whose deadline passed while queued.";
+              Some (tk, None)
+            | _ ->
+              let wait = now -. tk.tk_submitted in
+              t.total_wait <- t.total_wait +. wait;
+              t.n_waits <- t.n_waits + 1;
+              if wait > t.max_wait then t.max_wait <- wait;
+              (* overload & breaker decide how much this query may spend *)
+              let wants_compile = tk.tk_mode <> Driver.Bytecode in
+              let overloaded =
+                t.queued > t.cfg.shed_queue_depth
+                || (match (t.cfg.shed_resident_bytes, t.arena) with
+                   | Some b, Some a -> Aeq_mem.Arena.resident_bytes a > b
+                   | _ -> false)
+                (* near the scratch cap, compiling (and its scratch spike)
+                   is the wrong thing to spend memory on: degrade to
+                   bytecode until backpressure drains *)
+                || (match t.arena with
+                   | Some a -> Aeq_mem.Arena.scratch_under_pressure a
+                   | None -> false)
+              in
+              let compile_allowed =
+                (not wants_compile)
+                || ((not overloaded) && breaker_allow t tk.tk_id now)
+              in
+              let eff_mode = if compile_allowed then tk.tk_mode else Driver.Bytecode in
+              if eff_mode <> tk.tk_mode then begin
+                t.n_degraded <- t.n_degraded + 1;
+                obs_bump "degraded" ~help:"Executions forced to bytecode-only."
+              end;
+              Hashtbl.replace t.running_tks tk.tk_id tk;
+              Some (tk, Some eff_mode)))
+  in
+  match claimed with
+  | None -> ()
+  | Some (tk, None) ->
+    complete tk (Error (QE.Rejected "deadline expired in admission queue"))
+  | Some (tk, Some eff_mode) ->
+    let outcome, n_cf, crash =
+      match
+        (* the ticket is now reclaimable: a crash from here on is
+           answered below. The dispatch site sits exactly in that
+           window so the [Crash] action exercises the reclaim path. *)
+        Aeq_util.Failpoints.hit "sched.dispatch";
+        Aeq_util.Yieldpoint.yield "sched.dispatch";
+        with_lock tk.tk_lock (fun () ->
+            Aeq_race.write ~site:"sched.dispatch" tk.tk_loc;
+            tk.tk_state <- Running;
+            tk.tk_started <- Clock.now ();
+            tk.tk_degraded <- eff_mode <> tk.tk_mode);
+        if Cancel.cancelled tk.tk_cancel then (Error QE.Cancelled, 0)
+        else attempt_loop t tk eff_mode
+      with
+      | outcome, n_cf -> (outcome, n_cf, None)
+      | exception exn ->
+        (* the worker is dying, its stack already unwound (arena leases
+           and mutexes released by the [Fun.protect]s on the way). What
+           the unwind cannot do is answer the client, whose [await]
+           would hang forever, or release a half-open breaker probe
+           the query carried: finish the ticket as [Worker_crashed],
+           then let the crash go on to the worker's supervisor *)
+        ( Error (QE.Worker_crashed { domain = worker; detail = Printexc.to_string exn }),
+          0,
+          Some exn )
+    in
+    with_lock t.lock (fun () ->
+        Aeq_race.write ~site:"sched.finish" t.counters_loc;
+        Aeq_race.write ~site:"sched.finish" t.running_loc;
+        Hashtbl.remove t.running_tks tk.tk_id;
+        (* a crashed probe is fed as a failure, so the breaker re-trips
+           and re-probes later instead of wedging in Half_open *)
+        breaker_feed t tk outcome n_cf;
+        if Option.is_some crash then begin
+          t.n_crashed_tickets <- t.n_crashed_tickets + 1;
+          obs_bump "crashed_tickets"
+            ~help:"In-flight tickets completed as Worker_crashed by crash reclaim."
+        end;
+        match outcome with
+        | Ok _ ->
+          t.n_completed <- t.n_completed + 1;
+          obs_bump "completed" ~help:"Queries finished with rows."
+        | Error e ->
+          (match e with
+          | QE.Timeout _ ->
+            t.n_timeouts <- t.n_timeouts + 1;
+            obs_bump "timeouts" ~help:"Running queries stopped at deadline+grace."
+          | _ -> ());
+          t.n_failed <- t.n_failed + 1;
+          obs_bump "failed" ~help:"Queries finished with a structured error.");
+    complete tk outcome;
+    Aeq_util.Waiter.wake t.quiet_waiter;
+    Option.iter
+      (fun exn ->
+        (* the owner's hook releases what this domain held *)
+        t.on_domain_crash ~name:worker exn;
+        raise exn)
+      crash
+
+(* one pool job per admitted ticket *)
+let post_serving t =
+  Pool.post t.pool
+    ~abandon:(fun reason -> with_lock t.lock (fun () -> reject_queued t reason))
+    (serve_next t)
 
 (* ---- admission ------------------------------------------------------- *)
 
@@ -631,7 +568,6 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
       tk_loc = Aeq_race.locate "sched.ticket";
       tk_state = Queued;
       tk_started = -1.0;
-      tk_watchdog_fired = false;
       tk_degraded = false;
       tk_retries = 0;
     }
@@ -675,13 +611,15 @@ let submit ?(mode = Driver.Adaptive) ?(priority = Normal) ?deadline_seconds ?can
             t.n_admitted <- t.n_admitted + 1;
             obs_bump "admitted" ~help:"Queries accepted into the admission queue.";
             if t.queued > t.max_depth then t.max_depth <- t.queued;
-            Condition.signal t.work;
             `Admitted victim
         end)
   in
   match verdict with
   | `Rejected e -> QE.raise_error e
   | `Admitted victim ->
+    (* posted after [t.lock] is released: the pool may spawn its
+       serving worker, and it never runs under a scheduler lock *)
+    post_serving t;
     (match victim with
     | Some v ->
       complete v
@@ -700,72 +638,22 @@ let run ?mode ?priority ?deadline_seconds ?cancel t sql =
 (* ---- lifecycle ------------------------------------------------------- *)
 
 let validate cfg =
-  if cfg.dispatchers < 1 then
-    invalid_arg "Scheduler: dispatchers must be >= 1";
   if cfg.queue_capacity < 1 then
     invalid_arg "Scheduler: queue_capacity must be >= 1";
   if cfg.breaker_threshold < 1 then
     invalid_arg "Scheduler: breaker_threshold must be >= 1";
-  if cfg.max_retries < 0 then invalid_arg "Scheduler: max_retries must be >= 0";
-  if cfg.watchdog_period <= 0.0 then
-    invalid_arg "Scheduler: watchdog_period must be > 0"
-
-(* Supervisor reclaim for dispatcher [di]: runs in the crashed domain
-   after its stack unwound (arena leases and mutexes already released
-   by the [Fun.protect]s along the way). What the unwind cannot do is
-   answer the client — the ticket this dispatcher was serving would
-   otherwise hang its [await] forever — or release a half-open breaker
-   probe the crashed query was carrying. Both live in scheduler state,
-   so both are reclaimed here, under [t.lock]. *)
-let dispatcher_reclaim t di sv_name exn =
-  let victim =
-    with_lock t.lock (fun () ->
-        Aeq_race.write ~site:"sched.reclaim" t.running_loc;
-        Aeq_race.write ~site:"sched.reclaim" t.counters_loc;
-        match t.current.(di) with
-        | None -> None
-        | Some tk ->
-          t.current.(di) <- None;
-          Hashtbl.remove t.running_tks tk.tk_id;
-          t.n_crashed_tickets <- t.n_crashed_tickets + 1;
-          t.n_failed <- t.n_failed + 1;
-          obs_bump "crashed_tickets"
-            ~help:"In-flight tickets completed as Worker_crashed by supervisor reclaim.";
-          let err =
-            QE.Worker_crashed { domain = sv_name; detail = Printexc.to_string exn }
-          in
-          (* a crashed probe must not wedge the breaker in Half_open:
-             feed the failure so it re-trips and re-probes later *)
-          breaker_feed t tk (Error err) 0;
-          Some (tk, err))
-  in
-  (match victim with
-  | Some (tk, err) ->
-    complete tk (Error err);
-    Aeq_util.Waiter.wake t.quiet_waiter
-  | None -> ());
-  t.on_domain_crash ~name:sv_name exn
-
-(* A dispatcher whose restart budget is exhausted stops serving. When
-   the LAST one gives up nothing will ever pop the queue again — fail
-   its clients now and refuse new ones, instead of hanging them. *)
-let dispatcher_gave_up t =
-  with_lock t.lock (fun () ->
-      Aeq_race.write ~site:"sched.gave_up" t.running_loc;
-      t.failed_dispatchers <- t.failed_dispatchers + 1;
-      if t.failed_dispatchers >= t.cfg.dispatchers then
-        reject_queued t "no serving domains left (restart budget exhausted)")
+  if cfg.max_retries < 0 then invalid_arg "Scheduler: max_retries must be >= 0"
 
 let create ?(config = default_config) ?arena
-    ?(on_domain_crash = fun ~name:_ _ -> ()) ~exec () =
+    ?(on_domain_crash = fun ~name:_ _ -> ()) ~pool ~exec () =
   validate config;
   let t =
     {
       cfg = config;
       exec;
       arena;
+      pool;
       lock = Aeq_race.Lock.create "sched.lock";
-      work = Condition.create ();
       queues_loc = Aeq_race.locate "sched.queues";
       counters_loc = Aeq_race.locate "sched.counters";
       running_loc = Aeq_race.locate "sched.running";
@@ -777,9 +665,7 @@ let create ?(config = default_config) ?arena
       stopped = false;
       draining = false;
       running_tks = Hashtbl.create 8;
-      current = Array.make config.dispatchers None;
       on_domain_crash;
-      failed_dispatchers = 0;
       brk = Closed;
       brk_until = 0.0;
       brk_consecutive = 0;
@@ -793,38 +679,17 @@ let create ?(config = default_config) ?arena
       n_completed = 0;
       n_failed = 0;
       n_degraded = 0;
-      n_watchdog_cancels = 0;
+      n_timeouts = 0;
       n_breaker_trips = 0;
       n_crashed_tickets = 0;
       max_depth = 0;
       total_wait = 0.0;
       n_waits = 0;
       max_wait = 0.0;
-      wd_waiter = Aeq_util.Waiter.create ();
-      retry_waiters = Array.init config.dispatchers (fun _ -> Aeq_util.Waiter.create ());
+      retry_waiter = Aeq_util.Waiter.create ();
       quiet_waiter = Aeq_util.Waiter.create ();
-      domains = [];
-      supervisors = [];
     }
   in
-  if config.supervised then
-    t.supervisors <-
-      Supervisor.spawn ~policy:config.restart_policy ~name:"scheduler.watchdog"
-        ~on_crash:(fun exn -> t.on_domain_crash ~name:"scheduler.watchdog" exn)
-        (watchdog_loop t)
-      :: List.init config.dispatchers (fun i ->
-             let sv_name = Printf.sprintf "scheduler.dispatcher-%d" i in
-             Supervisor.spawn ~policy:config.restart_policy ~name:sv_name
-               ~on_crash:(dispatcher_reclaim t i sv_name)
-               ~on_give_up:(fun _ -> dispatcher_gave_up t)
-               (dispatcher_loop t i))
-  else
-    (* unsupervised mode exists for the supervision-overhead benchmark
-       and as an escape hatch; a crash here kills the domain for good *)
-    t.domains <-
-      Aeq_race.spawn (watchdog_loop t)
-      :: List.init config.dispatchers (fun i ->
-             Aeq_race.spawn (dispatcher_loop t i));
   (* gauges registered unconditionally; rendering is what the
      observability switch gates *)
   Obs.Metrics.gauge_fn "aeq_scheduler_queue_depth"
@@ -833,7 +698,7 @@ let create ?(config = default_config) ?arena
           Aeq_race.read ~site:"sched.gauge" t.queues_loc;
           t.queued));
   Obs.Metrics.gauge_fn "aeq_scheduler_in_flight"
-    ~help:"Queries currently being served by dispatcher domains." (fun () ->
+    ~help:"Queries currently being served by pool workers." (fun () ->
       with_lock t.lock (fun () ->
           Aeq_race.read ~site:"sched.gauge" t.running_loc;
           Hashtbl.length t.running_tks));
@@ -843,15 +708,7 @@ let create ?(config = default_config) ?arena
       with_lock t.lock (fun () ->
           Aeq_race.read ~site:"sched.gauge" t.breaker_loc;
           match t.brk with Closed -> 0 | Half_open -> 1 | Open -> 2));
-  Obs.Metrics.gauge_fn "aeq_scheduler_unhealthy_domains"
-    ~help:"Supervised scheduler domains currently backing off or failed."
-    (fun () ->
-      List.length (List.filter_map Supervisor.health_reason t.supervisors));
   t
-
-let supervisors t = t.supervisors
-
-let health_reasons t = List.filter_map Supervisor.health_reason t.supervisors
 
 let draining t =
   with_lock t.lock (fun () ->
@@ -859,9 +716,9 @@ let draining t =
       t.draining)
 
 (* Graceful drain: close admission, then wait (bounded) for the queue
-   and the in-flight set to empty. Past the deadline, still-queued
-   clients are rejected and in-flight queries cancelled — every
-   [await] resolves either way. *)
+   and the in-flight set to empty, with retry backoffs cut short. Past
+   the deadline, still-queued clients are rejected and in-flight
+   queries cancelled — every [await] resolves either way. *)
 let drain ?(deadline_seconds = 30.0) t =
   with_lock t.lock (fun () ->
       Aeq_race.write ~site:"sched.drain" t.queues_loc;
@@ -879,8 +736,12 @@ let drain ?(deadline_seconds = 30.0) t =
       let remaining = deadline -. Clock.now () in
       if remaining <= 0.0 then false
       else begin
-        (* dispatchers poke [quiet_waiter] as queries finish, so this
-           wakes on progress instead of burning a fixed-period poll *)
+        (* re-woken each round: one wake reaches only one of the
+           workers sleeping on the waiter *)
+        Aeq_util.Waiter.wake t.retry_waiter;
+        (* serving workers poke [quiet_waiter] as queries finish, so
+           this wakes on progress instead of burning a fixed-period
+           poll *)
         ignore
           (Aeq_util.Waiter.wait t.quiet_waiter (Float.min 0.01 remaining));
         poll ()
@@ -899,6 +760,13 @@ let drain ?(deadline_seconds = 30.0) t =
   clean
 
 let stats t =
+  (* supervisor counters are monotone over the pool's lifetime — the
+     restart budget made observable *)
+  let svs = Pool.supervisors t.pool in
+  let domain_crashes = List.fold_left (fun acc sv -> acc + Supervisor.crashes sv) 0 svs
+  and domain_restarts =
+    List.fold_left (fun acc sv -> acc + Supervisor.restarts sv) 0 svs
+  in
   with_lock t.lock (fun () ->
       Aeq_race.read ~site:"sched.stats" t.counters_loc;
       Aeq_race.read ~site:"sched.stats" t.queues_loc;
@@ -914,7 +782,7 @@ let stats t =
       completed = t.n_completed;
       failed = t.n_failed;
       degraded = t.n_degraded;
-      watchdog_cancels = t.n_watchdog_cancels;
+      timeouts = t.n_timeouts;
       breaker_trips = t.n_breaker_trips;
       breaker_state = t.brk;
       queue_depth = t.queued;
@@ -922,12 +790,8 @@ let stats t =
       avg_wait_seconds = (if t.n_waits = 0 then 0.0 else t.total_wait /. float_of_int t.n_waits);
       max_wait_seconds = t.max_wait;
       crashed_tickets = t.n_crashed_tickets;
-      (* supervisor counters are monotone over the scheduler's
-         lifetime — the restart budget made observable *)
-      domain_crashes =
-        List.fold_left (fun acc sv -> acc + Supervisor.crashes sv) 0 t.supervisors;
-      domain_restarts =
-        List.fold_left (fun acc sv -> acc + Supervisor.restarts sv) 0 t.supervisors;
+      domain_crashes;
+      domain_restarts;
       })
 
 let reset_stats t =
@@ -941,7 +805,7 @@ let reset_stats t =
   t.n_completed <- 0;
   t.n_failed <- 0;
   t.n_degraded <- 0;
-  t.n_watchdog_cancels <- 0;
+  t.n_timeouts <- 0;
   t.n_breaker_trips <- 0;
   t.n_crashed_tickets <- 0;
   t.max_depth <- t.queued;
@@ -949,31 +813,22 @@ let reset_stats t =
       t.n_waits <- 0;
       t.max_wait <- 0.0)
 
+(* Close admission and answer every queued client, then drain without
+   a deadline — the in-flight queries finish on their workers — so the
+   pool can be shut down right after. *)
 let shutdown t =
-  let to_join =
+  let first =
     with_lock t.lock (fun () ->
-        if t.stopped then None
-        else begin
-          Aeq_race.write ~site:"sched.shutdown" t.queues_loc;
+        Aeq_race.write ~site:"sched.shutdown" t.queues_loc;
+        let first = not t.stopped in
+        if first then begin
           t.stopped <- true;
-          Condition.broadcast t.work;
-          let ds = t.domains in
-          let svs = t.supervisors in
-          t.domains <- [];
-          Some (ds, svs)
-        end)
+          reject_queued t "scheduler is shut down"
+        end;
+        first)
   in
-  match to_join with
-  | None -> ()
-  | Some (ds, svs) ->
-    (* wake the watchdog out of its inter-sweep sleep so close never
-       stalls a full period, cut retry backoffs short, and cut any
-       supervisor backoff short *)
-    Aeq_util.Waiter.wake t.wd_waiter;
-    Array.iter Aeq_util.Waiter.wake t.retry_waiters;
-    List.iter Supervisor.stop svs;
-    List.iter Aeq_race.join ds;
-    List.iter Supervisor.join svs;
-    Aeq_util.Waiter.dispose t.wd_waiter;
-    Array.iter Aeq_util.Waiter.dispose t.retry_waiters;
+  if first then begin
+    ignore (drain ~deadline_seconds:infinity t);
+    Aeq_util.Waiter.dispose t.retry_waiter;
     Aeq_util.Waiter.dispose t.quiet_waiter
+  end

@@ -2,10 +2,12 @@
     and a compile-path circuit breaker in front of the driver.
 
     The execution core underneath (driver + multi-tenant worker pool +
-    per-query arena leases) runs queries concurrently; a configurable
-    number of dispatcher domains keep several admitted queries in
-    flight at once. What a server needs on top — and what this module
-    provides — is a defined behavior when clients outnumber capacity:
+    per-query arena leases) runs queries concurrently. Admitted
+    queries are served on the engine's {!Pool} workers — the scheduler
+    spawns no domain of its own — so up to [Pool.n_threads] admitted
+    queries are in flight at once. What a server needs on top — and
+    what this module provides — is a defined behavior when clients
+    outnumber capacity:
 
     - a {b bounded admission queue} with three priority classes and
       per-query deadlines. A full queue rejects immediately with
@@ -26,27 +28,30 @@
       it with exponentially growing, fully-jittered cooldown;
     - {b retry with backoff} for failures classified transient by
       {!Query_error.transient} (injected faults — the chaos stand-in
-      for infrastructure hiccups), bounded by the query's deadline and
-      [max_retries];
-    - a {b watchdog} domain that cancels queries exceeding
-      deadline + grace via their {!Cancel.t} token (surfaced as
-      [Timeout]), expires queries whose deadline passed while still
-      queued, and keeps the health counters in {!stats} current.
+      for infrastructure hiccups — and crashed workers), bounded by
+      the query's deadline and [max_retries];
+    - {b deadlines}: a query runs with the rest of its deadline plus
+      [deadline_grace] as the driver's timeout, which the driver
+      checks at every morsel boundary (surfaced as [Timeout] with the
+      client's allowance); a query whose deadline passed while it was
+      still queued is answered [Rejected] when a worker next
+      dispatches it.
 
     Clients call {!submit} (asynchronous; returns a {!ticket}) or
-    {!run} (submit + await) from any number of domains. Dispatcher
-    domains serve the queue highest-priority-first, FIFO within a
-    class; with [dispatchers = 1] serving is fully serialized (the
-    deterministic mode the scheduler tests rely on). *)
+    {!run} (submit + await) from any number of domains. Each admitted
+    ticket becomes one {!Pool.post}ed job; the worker that takes it
+    serves the queue's next ticket — highest priority first, FIFO
+    within a class. On a 1-thread pool serving is fully serialized
+    (the deterministic mode the scheduler tests rely on). A worker
+    crash completes the ticket it was serving with [Worker_crashed];
+    when every worker has exhausted its restart budget, queued
+    tickets are rejected. *)
 
 type priority = Low | Normal | High
 
 val priority_name : priority -> string
 
 type config = {
-  dispatchers : int;
-      (** dispatcher domains — the number of admitted queries served
-          concurrently (≥ 1; default 1) *)
   queue_capacity : int;  (** admission queue bound (≥ 1) *)
   shed_queue_depth : int;
       (** queue depth beyond which dispatched queries are forced to
@@ -56,7 +61,7 @@ type config = {
           dispatched queries are forced to bytecode-only *)
   deadline_grace : float;
       (** seconds past its deadline a running query is granted before
-          the watchdog cancels it *)
+          the driver stops it with [Timeout] *)
   breaker_threshold : int;
       (** compile failures within [breaker_window] that trip the
           breaker *)
@@ -70,17 +75,7 @@ type config = {
   retry_backoff : float;
       (** base retry backoff, seconds; doubles per attempt, full
           jitter, bounded by the query's deadline *)
-  watchdog_period : float;  (** watchdog scan interval, seconds *)
   seed : int64;  (** PRNG seed for backoff jitter *)
-  supervised : bool;
-      (** spawn dispatchers and the watchdog under {!Supervisor}
-          barriers (default [true]): a crash completes the victim's
-          in-flight ticket with [Worker_crashed] and restarts the
-          domain under [restart_policy]. [false] reverts to bare
-          domains — for the supervision-overhead benchmark only; a
-          crash then kills the domain permanently *)
-  restart_policy : Supervisor.policy;
-      (** restart budget and backoff for the supervised domains *)
 }
 
 val default_config : config
@@ -96,19 +91,27 @@ val create :
   ?config:config ->
   ?arena:Aeq_mem.Arena.t ->
   ?on_domain_crash:(name:string -> exn -> unit) ->
-  exec:(mode:Driver.mode -> cancel:Cancel.t -> string -> Driver.result) ->
+  pool:Pool.t ->
+  exec:
+    (mode:Driver.mode ->
+    cancel:Cancel.t ->
+    timeout_seconds:float option ->
+    string ->
+    Driver.result) ->
   unit ->
   t
-(** Start a scheduler (spawns [config.dispatchers] dispatcher domains
-    and the watchdog domain, supervised by default). [exec] runs one
-    query to completion and is called from dispatcher domains — up to
-    [dispatchers] calls concurrently, so it must be thread-safe (the
-    engine's [query] is); it must raise {!Query_error.Error} on
-    failure, and let non-structured exceptions escape (they are
-    treated as domain crashes by the supervisor). [arena], when given,
+(** Start a scheduler serving on [pool]'s workers; it spawns no domain
+    itself (the pool spawns its last worker with the first admitted
+    query). [exec] runs one query to completion, stopping with
+    [Timeout] once [timeout_seconds] have passed, and is called from
+    pool workers — up to [Pool.n_threads] calls concurrently, so it
+    must be thread-safe (the engine's [query] is); it must raise
+    {!Query_error.Error} on failure, and let non-structured exceptions
+    escape (they are treated as worker crashes). [arena], when given,
     feeds the [shed_resident_bytes] overload gauge. [on_domain_crash]
-    runs in the crashed domain after the scheduler's own reclaim —
-    the engine hooks its plan-cache single-flight cleanup here. *)
+    runs in a worker that crashed while serving, after the scheduler
+    answered the ticket — the engine hooks its plan-cache single-flight
+    cleanup here. *)
 
 val submit :
   ?mode:Driver.mode ->
@@ -122,8 +125,7 @@ val submit :
 
     [deadline_seconds] is end-to-end (queue wait + execution +
     retries): expiring in the queue yields [Rejected], exceeding it
-    while running gets the query cancelled by the watchdog after
-    [deadline_grace] and yields [Timeout]. [cancel] lets the caller
+    by [deadline_grace] while running yields [Timeout]. [cancel] lets the caller
     abandon the query later ({!cancel} does the same).
 
     @raise Query_error.Error [(Overloaded _)] when the queue is full
@@ -183,7 +185,7 @@ type stats = {
   completed : int;  (** finished with rows *)
   failed : int;  (** finished with a structured error *)
   degraded : int;  (** executions forced to bytecode-only *)
-  watchdog_cancels : int;  (** running queries cancelled past deadline+grace *)
+  timeouts : int;  (** running queries stopped past deadline+grace *)
   breaker_trips : int;  (** transitions to [Open] *)
   breaker_state : breaker_state;
   queue_depth : int;  (** gauge: queries queued right now *)
@@ -192,11 +194,10 @@ type stats = {
   max_wait_seconds : float;
   crashed_tickets : int;
       (** in-flight tickets completed as [Worker_crashed] by
-          supervisor reclaim after their dispatcher died *)
+          supervisor reclaim after the worker serving them died *)
   domain_crashes : int;
-      (** crashes caught by this scheduler's domain supervisors
-          (monotone over the scheduler's lifetime; not zeroed by
-          {!reset_stats}) *)
+      (** crashes caught by the pool's worker supervisors (monotone
+          over the pool's lifetime; not zeroed by {!reset_stats}) *)
   domain_restarts : int;
       (** supervised restarts performed (monotone, like
           [domain_crashes]) — the restart budget made observable *)
@@ -217,7 +218,8 @@ val reset_stats : t -> unit
 val drain : ?deadline_seconds:float -> t -> bool
 (** Graceful drain: stop admission (later {!submit}s raise
     [Rejected "draining"]) and wait up to [deadline_seconds] (default
-    30) for the queue and the in-flight set to empty. Past the
+    30) for the queue and the in-flight set to empty, cutting retry
+    backoffs short. Past the
     deadline, still-queued clients complete [Rejected] and in-flight
     queries are cancelled, so no [await] is left hanging. Returns
     [true] if quiescence was reached cleanly, [false] if the deadline
@@ -226,24 +228,8 @@ val drain : ?deadline_seconds:float -> t -> bool
 
 val draining : t -> bool
 
-val executing_here : unit -> bool
-(** [true] when called from a dispatcher domain — i.e. from inside an
-    [exec] callback serving an admitted query. The engine's drain
-    admission gate uses this to keep rejecting fresh direct clients
-    while letting already-admitted (queued/retrying) work finish. *)
-
-val health_reasons : t -> string list
-(** One reason per supervised domain currently crashed-and-backing-off
-    or failed (restart budget exhausted). Empty = all serving domains
-    healthy. *)
-
-val supervisors : t -> Supervisor.t list
-(** The domain supervisors (watchdog first), for tests and
-    introspection. Empty when running with [supervised = false]. *)
-
 val shutdown : t -> unit
 (** Stop serving: every still-queued query completes with [Rejected],
-    in-flight queries finish, then the dispatcher and watchdog domains
-    are joined (the watchdog is woken out of its inter-sweep sleep, so
-    shutdown does not stall a [watchdog_period]). Idempotent. Later
-    {!submit}s raise [Rejected]. *)
+    retry backoffs are cut short, and the call returns once the
+    in-flight queries have finished on their workers — the pool can be
+    shut down next. Idempotent. Later {!submit}s raise [Rejected]. *)

@@ -291,7 +291,7 @@ let handle_crash t exn =
   end
 
 (* The barrier + restart loop. [run] executes it inline in the calling
-   domain — what {!start} spawns, and what simulator tasks call
+   domain — what {!spawn} spawns, and what simulator tasks call
    directly so every supervised step stays on the sim scheduler. *)
 let run t =
   let rec loop () =
@@ -304,15 +304,11 @@ let run t =
   in
   loop ()
 
-let start t =
-  locked t (fun () ->
-      Aeq_race.write ~site:"supervisor.start" t.sv_loc;
-      if t.sv_domain <> None then invalid_arg "Supervisor.start: already started";
-      t.sv_domain <- Some (Aeq_race.spawn (fun () -> run t)))
-
 let spawn ?policy ~name ?on_crash ?on_give_up body =
   let t = create ?policy ~name ?on_crash ?on_give_up body in
-  start t;
+  locked t (fun () ->
+      Aeq_race.write ~site:"supervisor.spawn" t.sv_loc;
+      t.sv_domain <- Some (Aeq_race.spawn (fun () -> run t) [@lint.allow "domain-spawn"]));
   t
 
 (* Ask the loop to exit: no restart after the current body run (the

@@ -1,29 +1,30 @@
 (** Domain supervision: exception barriers, crash reclaim, and
     self-healing restarts for the engine's long-lived domains.
 
-    Every critical domain — scheduler dispatchers, the watchdog, pool
-    workers — runs its loop under a supervisor. An unstructured
-    exception escaping the loop (a bug; injected in tests by the
-    [Crash] failpoint action) used to kill the domain silently and
-    hang every client depending on it. Under supervision the crash is:
+    The engine's only long-lived domains are its {!Pool} workers, and
+    each runs its loop under a supervisor. An unstructured exception
+    escaping the loop (a bug; injected in tests by the [Crash]
+    failpoint action) used to kill the domain silently and hang every
+    client depending on it. Under supervision the crash is:
 
     - {b contained}: the barrier catches anything the body throws;
     - {b recorded}: an obs counter per domain plus an entry in the
       process-wide bounded {!crash_log} (what died, on which
       exception, what the supervisor did);
-    - {b reclaimed}: the owner's [on_crash] hook completes the crashed
-      dispatcher's in-flight ticket with
-      [Query_error.Worker_crashed], removes it from the running set,
-      fixes pool participant accounting so job barriers still drain,
-      and clears single-flight prepare claims — crash-specific state
-      the unwind alone cannot restore (arena leases and held mutexes
-      are already released by [Fun.protect] on the way up);
+    - {b reclaimed}: the owner's [on_crash] hook fixes pool
+      participant accounting so job barriers still drain, and a
+      served query's own handler completes its ticket with
+      [Query_error.Worker_crashed] and clears single-flight prepare
+      claims — crash-specific state the unwind alone cannot restore
+      (arena leases and held mutexes are already released by
+      [Fun.protect] on the way up);
     - {b restarted}: the same domain re-enters the body after an
       exponential backoff, under a sliding-window restart budget.
 
     Exhausting the budget (a crash loop) flips the supervisor to
     {!Failed} and fires [on_give_up]; the owner degrades (surfaced
-    through [Engine.health]) instead of restarting forever.
+    through [Engine.health]) instead of restarting forever. One policy
+    governs every engine domain: [Engine.create]'s [restart_policy].
 
     The supervisor transitions are yield points
     (["supervisor.crash"], ["supervisor.backoff"],
@@ -82,10 +83,6 @@ val create :
     reclaim must not kill the supervisor.
     @raise Invalid_argument on a malformed [policy]. *)
 
-val start : t -> unit
-(** Spawn the supervised domain.
-    @raise Invalid_argument if already started. *)
-
 val run : t -> unit
 (** Execute the supervised loop inline in the calling domain — for
     simulator tasks (no untracked domains) and tests. Returns when the
@@ -99,7 +96,7 @@ val spawn :
   ?on_give_up:(exn -> unit) ->
   (unit -> unit) ->
   t
-(** {!create} + {!start}. *)
+(** {!create}, then spawn the supervised domain running {!run}. *)
 
 val stop : t -> unit
 (** Forbid further restarts and cut any in-progress backoff short.

@@ -19,6 +19,7 @@ let all_rules =
     "sleep-in-exec";
     "failpoint-literal";
     "declare-literal";
+    "domain-spawn";
   ]
 
 let finding_to_string f =
@@ -115,6 +116,13 @@ let lint_source ?(rules = all_rules) ~filename source =
         add loc "sleep-in-exec"
           "uninterruptible sleep on a supervised path: block on \
            Aeq_util.Waiter so shutdown can cut the wait short"
+    | _ when ends_with ~suffix:[ "Domain"; "spawn" ] path
+             || ends_with ~suffix:[ "Aeq_race"; "spawn" ] path
+             || ends_with ~suffix:[ "Supervisor"; "spawn" ] path ->
+      if active "domain-spawn" then
+        add loc "domain-spawn"
+          "domain spawned outside the worker pool: the engine's domains \
+           are its Pool workers; post the work to the pool instead"
     | _ when ends_with ~suffix:[ "Yieldpoint"; "yield" ] path ->
       if active "yield-in-lock" && !crit > 0 then
         add loc "yield-in-lock"

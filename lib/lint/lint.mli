@@ -24,6 +24,11 @@
       level) can see it.
     - ["declare-literal"]: every [Aeq_race.declare] must name its
       location with a string literal, for the same reason.
+    - ["domain-spawn"]: no [Domain.spawn], [Aeq_race.spawn] or
+      [Supervisor.spawn] — the engine has one domain budget, its
+      [Pool] workers. The pool and the supervisor it spawns through,
+      the race detector's own spawn wrapper and the simulator waive
+      it at their call sites.
 
     A finding can be waived for one subtree with
     [(expr [@lint.allow "rule"])]. Whole-tree cross-checks (failpoint

@@ -47,6 +47,7 @@ type err =
 
 let err_of_query_error = function
   | Aeq_exec.Query_error.Trap m -> Trap m
+  | Aeq_exec.Query_error.Injected site -> Trap ("injected fault at " ^ site)
   | Aeq_exec.Query_error.Compile_failed (mode, detail) ->
     Compile_failed (Aeq_backend.Cost_model.mode_name mode, detail)
   | Aeq_exec.Query_error.Timeout s -> Timeout s

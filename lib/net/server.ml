@@ -138,7 +138,7 @@ let rec take_rows n = function
 (* Plan in the session thread before submitting: the scheduler's exec
    callback treats unstructured exceptions as domain crashes (that is
    the supervision contract), so a typo'd SQL text must be refused
-   here, not allowed to take down a dispatcher. *)
+   here, not allowed to take down a pool worker. *)
 let check_plans engine sql =
   match ignore (Engine.plan engine sql) with
   | () -> None

@@ -6,7 +6,8 @@
     {!Protocol} frame protocol. Sessions are systhreads, not domains —
     they spend their life blocked on socket I/O or on a scheduler
     ticket, so they must not consume the (small, fixed) domain budget
-    the worker pool and dispatchers are sized against.
+    of the worker pool, whose workers also serve the admitted
+    queries.
 
     A session is a [Hello] handshake followed by
     [Prepare]/[Execute]/[Execute_prepared]/[Fetch]/[Cancel]/[Close]

@@ -185,7 +185,9 @@ let run ?(max_steps = default_max_steps) ?schedule ?(checkers = []) ~seed
       Atomic.set current_sched None)
     (fun () ->
       let domains =
-        Array.map (fun tk -> Domain.spawn (task_body s tk)) s.tasks
+        Array.map
+          (fun tk -> (Domain.spawn (task_body s tk)) [@lint.allow "domain-spawn"])
+          s.tasks
       in
       let finished () =
         Array.for_all (fun tk -> tk.tk_state = Done) s.tasks

@@ -57,7 +57,6 @@ let builtin_sites =
     "arena.release";
     "pool.pick";
     "sched.dispatch";
-    "sched.watchdog";
     "net.accept";
     "net.read";
     "net.write";

@@ -25,12 +25,11 @@
       in a [Fun.protect] finaliser), so the fault exercises caller
       error paths without ever leaking memory;
     - ["pool.pick"] — hit when a pool participant (worker domain or
-      the submitting caller) starts on a job, before the first morsel;
-    - ["sched.dispatch"] — hit by a scheduler dispatcher after it has
-      claimed a ticket (the ticket is registered, so a [Crash] here
-      exercises the supervisor's in-flight-ticket reclaim);
-    - ["sched.watchdog"] — hit by the scheduler watchdog once per
-      sweep, before it takes the scheduler lock;
+      the submitting caller) starts on a morsel job, before the first
+      morsel;
+    - ["sched.dispatch"] — hit by the pool worker serving a query
+      after it has claimed the ticket (the ticket is registered, so a
+      [Crash] here exercises the in-flight-ticket reclaim);
     - ["net.accept"] — hit by the wire server's accept loop after a
       connection is accepted and before its session starts (a fault
       here closes the socket without serving it);
@@ -52,8 +51,8 @@ exception Injected_crash of string
     {e not} part of the structured-error contract: every layer that
     folds exceptions into [Query_error] lets it pass, so it unwinds
     all the way out of the hosting domain — simulating a bug that
-    kills a dispatcher, watchdog or pool worker. Only a supervisor
-    barrier ([Aeq_exec.Supervisor]) contains it. *)
+    kills a pool worker. Only a supervisor barrier
+    ([Aeq_exec.Supervisor]) contains it. *)
 
 val is_crash : exn -> bool
 (** Is this {!Injected_crash}, possibly wrapped in (nested)

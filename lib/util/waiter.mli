@@ -1,12 +1,13 @@
 (** An interruptible timed wait (self-pipe + [select]).
 
-    The stdlib [Condition] cannot wait with a timeout, so periodic
-    domains (watchdog sweeps, supervisor restart backoff) either
+    The stdlib [Condition] cannot wait with a timeout, so timed sleeps
+    (supervisor restart backoff, scheduler retry backoff) either
     oversleep shutdown by a full period or busy-poll. A [Waiter.t]
     gives the third option: sleep up to the period, but return
-    immediately when another domain calls {!wake}. One waiter per
-    sleeping domain; [wake] may be called from anywhere, any number of
-    times (wakes coalesce). *)
+    immediately when another domain calls {!wake}. [wake] may be
+    called from anywhere, any number of times (wakes coalesce). When
+    several domains sleep on one waiter, a wake cuts at least one of
+    them short; wake again to reach the rest. *)
 
 type t
 

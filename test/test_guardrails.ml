@@ -39,6 +39,7 @@ let check_query_error name expected f =
       ||
       match (e, expected) with
       | QE.Trap _, "trap" -> true
+      | QE.Injected _, "injected" -> true
       | QE.Compile_failed _, "compile_failed" -> true
       | QE.Timeout _, "timeout" -> true
       | QE.Cancelled, "cancelled" -> true
@@ -203,7 +204,7 @@ let test_morsel_trap_then_recover () =
       let reference = Aeq.Engine.query engine sql in
       with_clean_failpoints (fun () ->
           FP.activate ~on_hit:3 ~persistent:false "driver.morsel" FP.Fail;
-          check_query_error "morsel trap" "trap" (fun () ->
+          check_query_error "morsel trap" "injected" (fun () ->
               Aeq.Engine.query engine sql);
           Alcotest.(check int) "failpoint fired" 1 (FP.fired "driver.morsel");
           (* same text again, served from the plan cache: correct *)
@@ -356,7 +357,7 @@ let test_arena_alloc_failure () =
   with_engine (fun engine ->
       with_clean_failpoints (fun () ->
           FP.activate "arena.alloc" FP.Fail;
-          check_query_error "arena fault" "trap" (fun () ->
+          check_query_error "arena fault" "injected" (fun () ->
               Aeq.Engine.query engine ~mode:Driver.Bytecode
                 "select sum(l_quantity) from lineitem"));
       check_clean_query "clean after arena fault" engine)
@@ -396,7 +397,7 @@ let test_fault_at_each_site_no_leak () =
               | _ ->
                 if not swallowed then
                   Alcotest.failf "%s: expected an injected failure" site
-              | exception QE.Error (QE.Trap _) ->
+              | exception QE.Error (QE.Injected _) ->
                 if swallowed then
                   Alcotest.failf "%s: swallowed fault must not surface" site
               | exception e ->

@@ -71,6 +71,20 @@ let test_declare_literal () =
   check_rules "computed declare flagged" [ "declare-literal" ]
     (scan "let f n = Aeq_race.declare (prefix ^ n) Aeq_race.Atomic")
 
+let test_domain_spawn () =
+  check_rules "Domain.spawn flagged" [ "domain-spawn" ]
+    (scan "let d = Domain.spawn (fun () -> ())");
+  check_rules "race-detector spawn flagged" [ "domain-spawn" ]
+    (scan "let d = Aeq_race.spawn loop");
+  check_rules "supervised spawn flagged" [ "domain-spawn" ]
+    (scan "let sv = Supervisor.spawn ~name:\"x\" loop");
+  check_rules "bare reference flagged" [ "domain-spawn" ]
+    (scan "let ds = List.map Domain.spawn loops");
+  check_rules "posting to the pool is the disciplined spelling" []
+    (scan "let () = Pool.post pool ~abandon serve");
+  check_rules "the pool's own spawn is waived" []
+    (scan "let w = (Supervisor.spawn ~name:\"w\" loop [@lint.allow \"domain-spawn\"])")
+
 let test_waiver () =
   check_rules "lint.allow waives the annotated subtree" []
     (scan "let m = (Mutex.create () [@lint.allow \"raw-mutex\"])");
@@ -144,7 +158,7 @@ let test_shipped_tree_is_clean () =
       (fun path ->
         let rules =
           if under "race" path || under "sim" path then
-            [ "failpoint-literal"; "declare-literal" ]
+            [ "failpoint-literal"; "declare-literal"; "domain-spawn" ]
           else if under "exec" path || under "mem" path then L.all_rules
           else List.filter (fun r -> r <> "sleep-in-exec") L.all_rules
         in
@@ -165,6 +179,7 @@ let () =
           Alcotest.test_case "sleep-in-exec" `Quick test_sleep_in_exec;
           Alcotest.test_case "failpoint-literal" `Quick test_failpoint_literal;
           Alcotest.test_case "declare-literal" `Quick test_declare_literal;
+          Alcotest.test_case "domain-spawn" `Quick test_domain_spawn;
           Alcotest.test_case "waiver" `Quick test_waiver;
           Alcotest.test_case "parse error" `Quick test_parse_error;
         ] );

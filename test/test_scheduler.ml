@@ -1,7 +1,8 @@
 (* Tests for concurrent query serving: the admission queue (priorities,
    bounds, shedding, deadlines), the compile-path circuit breaker,
-   transient-failure retry, the watchdog, probabilistic failpoints,
-   the now-thread-safe engine plan cache, and a chaos soak. *)
+   transient-failure retry, deadline timeouts, probabilistic
+   failpoints, the now-thread-safe engine plan cache, and a chaos
+   soak. *)
 
 module Sched = Aeq_exec.Scheduler
 module Driver = Aeq_exec.Driver
@@ -28,10 +29,10 @@ let eager_model =
   }
 
 (* ---- a fake execution core ------------------------------------------ *)
-(* Scheduler semantics (queueing, breaker, retry, watchdog) are tested
+(* Scheduler semantics (queueing, breaker, retry, timeouts) are tested
    against a scripted [exec] — no engine, no SQL. The "sql" strings are
    commands: ok | sleep:<s> | transient:<n>:<tag> | compile:<tag> |
-   fatal. *)
+   lookalike | fatal. *)
 
 let ok_result () =
   {
@@ -54,13 +55,22 @@ let ok_result () =
     final_cm_modes = [];
   }
 
-(* sleep in small cancellable steps, like morsel boundaries *)
-let rec csleep cancel remaining =
-  if Aeq_exec.Cancel.cancelled cancel then QE.raise_error QE.Cancelled
-  else if remaining > 0.0 then begin
-    Unix.sleepf (Stdlib.min 0.002 remaining);
-    csleep cancel (remaining -. 0.002)
-  end
+(* sleep in small steps, checking cancellation and the timeout at
+   each one as the driver does at morsel boundaries *)
+let csleep ~cancel ~timeout_seconds seconds =
+  let t0 = Clock.now () in
+  let rec go () =
+    let elapsed = Clock.now () -. t0 in
+    if Aeq_exec.Cancel.cancelled cancel then QE.raise_error QE.Cancelled;
+    (match timeout_seconds with
+    | Some s when elapsed > s -> QE.raise_error (QE.Timeout s)
+    | _ -> ());
+    if elapsed < seconds then begin
+      Unix.sleepf 0.002;
+      go ()
+    end
+  in
+  go ()
 
 type harness = {
   h_lock : Mutex.t;
@@ -73,7 +83,7 @@ let make_harness () =
   { h_lock = Mutex.create (); h_served = []; h_counts = Hashtbl.create 8;
     h_compile_broken = false }
 
-let harness_exec h ~mode ~cancel sql =
+let harness_exec h ~mode ~cancel ~timeout_seconds sql =
   let n =
     Mutex.lock h.h_lock;
     h.h_served <- sql :: h.h_served;
@@ -85,21 +95,31 @@ let harness_exec h ~mode ~cancel sql =
   match String.split_on_char ':' sql with
   | "ok" :: _ -> ok_result ()
   | "sleep" :: d :: _ ->
-    csleep cancel (float_of_string d);
+    csleep ~cancel ~timeout_seconds (float_of_string d);
     ok_result ()
   | "transient" :: k :: _ ->
-    if n <= int_of_string k then QE.raise_error (QE.Trap "injected fault (scripted)")
+    if n <= int_of_string k then QE.raise_error (QE.Injected "scripted")
     else ok_result ()
   | "compile" :: _ ->
     if h.h_compile_broken && mode <> Driver.Bytecode then
       QE.raise_error (QE.Compile_failed (CM.Unopt, "scripted compile failure"))
     else ok_result ()
+  | "lookalike" :: _ ->
+    (* a real trap whose text merely reads like an injected fault *)
+    QE.raise_error (QE.Trap "injected fault at driver.morsel")
   | "fatal" :: _ -> QE.raise_error (QE.Trap "real bug")
   | _ -> ok_result ()
 
+(* a 1-thread pool: one serving worker, so dispatch order is the
+   queue's order *)
 let with_sched ?(config = Sched.default_config) ?arena h f =
-  let s = Sched.create ~config ?arena ~exec:(harness_exec h) () in
-  Fun.protect ~finally:(fun () -> Sched.shutdown s) (fun () -> f s)
+  let pool = Aeq_exec.Pool.create ~n_threads:1 () in
+  let s = Sched.create ~config ?arena ~pool ~exec:(harness_exec h) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sched.shutdown s;
+      Aeq_exec.Pool.shutdown pool)
+    (fun () -> f s)
 
 let served h =
   Mutex.lock h.h_lock;
@@ -339,8 +359,8 @@ let test_retry_transient () =
       (* budget exhausted: the transient error surfaces *)
       let tk2 = Sched.submit s "transient:9:b" in
       (match Sched.await tk2 with
-      | Error (QE.Trap _) -> ()
-      | _ -> Alcotest.fail "budget exhaustion must surface the trap");
+      | Error (QE.Injected _) -> ()
+      | _ -> Alcotest.fail "budget exhaustion must surface the injected fault");
       Alcotest.(check int) "both retries burned" 2 (Sched.retries tk2);
       (* non-transient failures never retry *)
       let tk3 = Sched.submit s "fatal:c" in
@@ -359,17 +379,33 @@ let test_retry_bounded_by_deadline () =
       (* backoff would land past the deadline: fail now instead *)
       let tk = Sched.submit ~deadline_seconds:0.1 s "transient:1:d" in
       (match Sched.await tk with
-      | Error (QE.Trap _) -> ()
+      | Error (QE.Injected _) -> ()
       | _ -> Alcotest.fail "no retry budget within the deadline");
       Alcotest.(check int) "no retries" 0 (Sched.retries tk))
 
-(* ---- deadlines & watchdog -------------------------------------------- *)
-
-let test_watchdog_cancels_overdue () =
+(* retryability is the error's constructor, not its text: a real trap
+   that reads like an injected fault is a deterministic query error *)
+let test_trap_lookalike_not_retried () =
   let h = make_harness () in
-  let config =
-    { Sched.default_config with Sched.deadline_grace = 0.02; watchdog_period = 0.005 }
-  in
+  let config = { Sched.default_config with Sched.max_retries = 2; retry_backoff = 0.002 } in
+  with_sched ~config h (fun s ->
+      Alcotest.(check bool) "not transient" false
+        (QE.transient (QE.Trap "injected fault at driver.morsel"));
+      let tk = Sched.submit s "lookalike" in
+      (match Sched.await tk with
+      | Error (QE.Trap _) -> ()
+      | _ -> Alcotest.fail "the trap must surface");
+      Alcotest.(check int) "no retry" 0 (Sched.retries tk);
+      Alcotest.(check int) "executed once" 1
+        (List.length (List.filter (( = ) "lookalike") (served h))))
+
+(* ---- deadlines -------------------------------------------------------- *)
+
+(* the query runs with the rest of its deadline plus the grace as its
+   timeout; the timeout surfaces with the client's allowance *)
+let test_timeout_stops_overdue () =
+  let h = make_harness () in
+  let config = { Sched.default_config with Sched.deadline_grace = 0.02 } in
   with_sched ~config h (fun s ->
       let t0 = Clock.now () in
       let tk = Sched.submit ~deadline_seconds:0.05 s "sleep:5" in
@@ -378,9 +414,9 @@ let test_watchdog_cancels_overdue () =
         Alcotest.(check (float 1e-9)) "allowance echoed" 0.05 allowance
       | Ok _ -> Alcotest.fail "must time out"
       | Error e -> Alcotest.failf "expected Timeout, got %s" (QE.to_string e));
-      Alcotest.(check bool) "cancelled promptly, not after 5 s" true
+      Alcotest.(check bool) "stopped promptly, not after 5 s" true
         (Clock.now () -. t0 < 1.0);
-      Alcotest.(check int) "watchdog counted" 1 (Sched.stats s).Sched.watchdog_cancels)
+      Alcotest.(check int) "timeout counted" 1 (Sched.stats s).Sched.timeouts)
 
 let test_deadline_expires_in_queue () =
   let h = make_harness () in
@@ -412,7 +448,8 @@ let test_client_cancel_queued () =
 
 let test_shutdown_drains () =
   let h = make_harness () in
-  let s = Sched.create ~exec:(harness_exec h) () in
+  let pool = Aeq_exec.Pool.create ~n_threads:1 () in
+  let s = Sched.create ~pool ~exec:(harness_exec h) () in
   let blocker = Sched.submit s "sleep:0.15" in
   Unix.sleepf 0.05;
   let q1 = Sched.submit s "ok:s1" in
@@ -422,9 +459,10 @@ let test_shutdown_drains () =
   check_ok "in-flight query finished" (Sched.await blocker);
   check_rejected "queued q1 drained" (Sched.await q1);
   check_rejected "queued q2 drained" (Sched.await q2);
-  match Sched.submit s "ok:late" with
+  (match Sched.submit s "ok:late" with
   | _ -> Alcotest.fail "submit after shutdown must raise"
-  | exception QE.Error (QE.Rejected _) -> ()
+  | exception QE.Error (QE.Rejected _) -> ());
+  Aeq_exec.Pool.shutdown pool
 
 (* ---- engine integration ---------------------------------------------- *)
 
@@ -465,14 +503,10 @@ let test_engine_concurrent_cache () =
       Alcotest.(check bool) "hits counted without tearing" true
         (cs.Aeq.Engine.hits >= 20))
 
-let test_engine_scheduler_deadline () =
+let test_engine_scheduler_timeout () =
   with_engine (fun engine ->
       Aeq.Engine.set_scheduler_config engine
-        {
-          Sched.default_config with
-          Sched.deadline_grace = 0.02;
-          watchdog_period = 0.005;
-        };
+        { Sched.default_config with Sched.deadline_grace = 0.02 };
       with_clean_failpoints (fun () ->
           FP.activate "driver.morsel" (FP.Delay 0.005);
           match
@@ -482,8 +516,8 @@ let test_engine_scheduler_deadline () =
           | Error (QE.Timeout _) -> ()
           | Ok _ -> Alcotest.fail "must time out"
           | Error e -> Alcotest.failf "expected Timeout, got %s" (QE.to_string e));
-      Alcotest.(check bool) "watchdog fired" true
-        ((Aeq.Engine.scheduler_stats engine).Sched.watchdog_cancels >= 1);
+      Alcotest.(check bool) "timeout counted" true
+        ((Aeq.Engine.scheduler_stats engine).Sched.timeouts >= 1);
       (* the engine serves correct answers afterwards *)
       match Aeq.Engine.query_concurrent engine "select count(*) as n from lineitem" with
       | Ok _ -> ()
@@ -522,7 +556,7 @@ let test_chaos_soak () =
               let k = (c + i) mod Array.length stmts in
               match Aeq.Engine.query_concurrent engine stmts.(k) with
               | Ok r -> if r.Driver.rows <> reference.(k) then Atomic.incr wrong
-              | Error (QE.Trap _ | QE.Compile_failed _ | QE.Overloaded _ | QE.Rejected _) ->
+              | Error (QE.Injected _ | QE.Compile_failed _ | QE.Overloaded _ | QE.Rejected _) ->
                 Atomic.incr errs
               | Error e ->
                 Alcotest.failf "unexpected error class under chaos: %s" (QE.to_string e)
@@ -603,10 +637,12 @@ let () =
         [
           Alcotest.test_case "transient" `Quick test_retry_transient;
           Alcotest.test_case "deadline bound" `Quick test_retry_bounded_by_deadline;
+          Alcotest.test_case "trap lookalike not retried" `Quick
+            test_trap_lookalike_not_retried;
         ] );
       ( "deadlines",
         [
-          Alcotest.test_case "watchdog cancel" `Quick test_watchdog_cancels_overdue;
+          Alcotest.test_case "overdue timeout" `Quick test_timeout_stops_overdue;
           Alcotest.test_case "queue expiry" `Quick test_deadline_expires_in_queue;
           Alcotest.test_case "client cancel" `Quick test_client_cancel_queued;
         ] );
@@ -615,7 +651,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "concurrent plan cache" `Quick test_engine_concurrent_cache;
-          Alcotest.test_case "scheduler deadline" `Quick test_engine_scheduler_deadline;
+          Alcotest.test_case "scheduler deadline" `Quick test_engine_scheduler_timeout;
           Alcotest.test_case "chaos soak" `Slow test_chaos_soak;
         ] );
     ]

@@ -1,7 +1,8 @@
 (* Tests for the supervision layer: crash barriers and in-domain
    restarts (Supervisor), restart budgets and give-up escalation,
-   dispatcher/watchdog/pool-worker crash reclaim (no hung awaits, no
-   leaked state), engine health states, graceful drain, and a seeded
+   pool-worker crash reclaim while serving a query or helping with its
+   morsels (no hung awaits, no leaked state), the engine's domain
+   budget, engine health states, graceful drain, and a seeded
    crash-injection sweep (AEQ_CRASH_SWEEP overrides the seed count). *)
 
 module Sup = Aeq_exec.Supervisor
@@ -210,41 +211,38 @@ let rec csleep cancel remaining =
     csleep cancel (remaining -. 0.002)
   end
 
-let harness_exec ~mode:_ ~cancel sql =
+let harness_exec ~mode:_ ~cancel ~timeout_seconds:_ sql =
   match String.split_on_char ':' sql with
   | "sleep" :: d :: _ ->
     csleep cancel (float_of_string d);
     ok_result ()
   | _ -> ok_result ()
 
-let sup_config =
-  {
-    Sched.default_config with
-    dispatchers = 1;
-    watchdog_period = 0.01;
-    restart_policy = fast_policy;
-  }
+(* a scheduler serving on a 1-thread pool: its one worker is the
+   serving domain the failpoints kill *)
+let with_sched ?(policy = fast_policy) f =
+  let pool = Pool.create ~restart_policy:policy ~n_threads:1 () in
+  let s = Sched.create ~pool ~exec:harness_exec () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sched.shutdown s;
+      Pool.shutdown pool)
+    (fun () -> f pool s)
 
-let with_sched ?(config = sup_config) f =
-  let s = Sched.create ~config ~exec:harness_exec () in
-  Fun.protect ~finally:(fun () -> Sched.shutdown s) (fun () -> f s)
+(* ---- serving-worker crash reclaim ------------------------------------ *)
 
-(* ---- dispatcher crash reclaim ---------------------------------------- *)
-
-let test_dispatcher_crash_completes_ticket () =
+let test_serving_crash_completes_ticket () =
   with_clean_failpoints (fun () ->
-      with_sched (fun s ->
+      with_sched (fun _ s ->
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
           (match Sched.run s "ok" with
           | Error (QE.Worker_crashed { domain; _ }) ->
-            Alcotest.(check bool)
-              "crash names the dispatcher" true
-              (String.length domain > 0
-              && String.sub domain 0 9 = "scheduler")
+            Alcotest.(check string) "crash names the serving worker" "pool.worker-0"
+              domain
           | Error e ->
             Alcotest.failf "expected Worker_crashed, got %s" (QE.to_string e)
           | Ok _ -> Alcotest.fail "expected Worker_crashed, got rows");
-          (* the dispatcher restarted: the next query is served *)
+          (* the worker restarted: the next query is served *)
           (match Sched.run s "ok" with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-restart query failed: %s" (QE.to_string e));
@@ -255,15 +253,15 @@ let test_dispatcher_crash_completes_ticket () =
           Alcotest.(check bool)
             "crash log names the site" true
             (List.exists
-               (fun c -> c.Sup.cr_domain = "scheduler.dispatcher-0")
+               (fun c -> c.Sup.cr_domain = "pool.worker-0")
                (Sup.crash_log ()))))
 
 (* Worker_crashed is transient, so a scheduler with retry budget gives
    the same client a second attempt on a crash mid-one-shot. Here the
    one-shot crash hits attempt #1; attempt #2 succeeds. *)
-let test_dispatcher_crash_then_healthy_serving () =
+let test_serving_crash_then_healthy () =
   with_clean_failpoints (fun () ->
-      with_sched (fun s ->
+      with_sched (fun _ s ->
           FP.activate ~persistent:false ~on_hit:2 "sched.dispatch" FP.Crash;
           (match Sched.run s "ok" with
           | Ok _ -> ()
@@ -281,21 +279,26 @@ let test_dispatcher_crash_then_healthy_serving () =
               | Error e -> Alcotest.failf "unexpected error %s" (QE.to_string e))
             ok))
 
-(* ---- watchdog crash restart ------------------------------------------ *)
-
-let test_watchdog_crash_restart () =
+(* every worker out of restart budget: queued and later clients are
+   answered Rejected instead of left hanging *)
+let test_exhausted_pool_rejects_queued () =
   with_clean_failpoints (fun () ->
-      with_sched (fun s ->
-          FP.activate ~persistent:false "sched.watchdog" FP.Crash;
-          eventually "watchdog crash caught" (fun () ->
-              List.exists
-                (fun c -> c.Sup.cr_domain = "scheduler.watchdog")
-                (Sup.crash_log ()));
-          (* the restarted watchdog still enforces deadlines *)
-          match Sched.run s ~deadline_seconds:0.05 "sleep:5" with
-          | Error (QE.Timeout _) | Error QE.Cancelled -> ()
-          | Error e -> Alcotest.failf "expected Timeout, got %s" (QE.to_string e)
-          | Ok _ -> Alcotest.fail "expected the watchdog to cancel the query"))
+      let policy = { fast_policy with Sup.max_restarts = 0 } in
+      with_sched ~policy (fun pool s ->
+          FP.activate "sched.dispatch" FP.Crash;
+          let a = Sched.submit s "ok:a" in
+          let b = Sched.submit s "ok:b" in
+          (match Sched.await a with
+          | Error (QE.Worker_crashed _) -> ()
+          | _ -> Alcotest.fail "the first ticket dies with its worker");
+          (match Sched.await b with
+          | Error (QE.Rejected _) -> ()
+          | _ -> Alcotest.fail "the queued ticket must be rejected");
+          Alcotest.(check int) "the only worker gave up" 1
+            (List.length (Pool.health_reasons pool));
+          match Sched.run s "ok:c" with
+          | Error (QE.Rejected _) -> ()
+          | _ -> Alcotest.fail "a later ticket must be rejected"))
 
 (* ---- pool worker crash reclaim --------------------------------------- *)
 
@@ -333,27 +336,65 @@ let test_pool_worker_crash () =
           Pool.run p (fun ~tid:_ -> Atomic.incr hits);
           Alcotest.(check bool) "pool serves after restart" true (Atomic.get hits >= 1)))
 
+(* a posted job has no caller: what it lets escape crashes its worker,
+   which restarts, and a job no worker will ever take is abandoned *)
+let test_posted_job_crash_and_abandon () =
+  with_clean_failpoints (fun () ->
+      let p = Pool.create ~restart_policy:fast_policy ~n_threads:1 () in
+      let reclaimed = Atomic.make "" and abandoned = Atomic.make 0 in
+      let ran = Atomic.make 0 in
+      let post fn = Pool.post p ~abandon:(fun _ -> Atomic.incr abandoned) fn in
+      post (fun ~worker ->
+          try raise (FP.Injected_crash "posted job bug")
+          with e ->
+            Atomic.set reclaimed worker;
+            raise e);
+      eventually "the worker's supervisor caught the crash" (fun () ->
+          List.exists (fun sv -> Sup.crashes sv = 1) (Pool.supervisors p));
+      Alcotest.(check string) "the job learnt its worker" "pool.worker-0"
+        (Atomic.get reclaimed);
+      Alcotest.(check (list string)) "accounting coherent" [] (Pool.check p);
+      (* the worker restarted and takes the next posted job *)
+      post (fun ~worker:_ -> Atomic.incr ran);
+      eventually "served after the restart" (fun () -> Atomic.get ran = 1);
+      (* hold the only worker, queue one more job behind it, shut down *)
+      let started = Atomic.make false and release = Atomic.make false in
+      post (fun ~worker:_ ->
+          Atomic.set started true;
+          while not (Atomic.get release) do
+            Unix.sleepf 0.001
+          done);
+      eventually "blocker taken" (fun () -> Atomic.get started);
+      post (fun ~worker:_ -> Atomic.incr ran);
+      Alcotest.(check (list string)) "coherent while serving" [] (Pool.check p);
+      let releaser =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.05;
+            Atomic.set release true)
+      in
+      Pool.shutdown p;
+      Domain.join releaser;
+      Alcotest.(check int) "the queued job never ran" 1 (Atomic.get ran);
+      Alcotest.(check int) "it was abandoned at shutdown" 1 (Atomic.get abandoned);
+      post (fun ~worker:_ -> Atomic.incr ran);
+      Alcotest.(check int) "a post to a closed pool is abandoned at once" 2
+        (Atomic.get abandoned))
+
 (* ---- health state machine -------------------------------------------- *)
 
 let test_health_degraded_and_back () =
   with_clean_failpoints (fun () ->
       (* slow restart so the Backing_off window is observable *)
-      let config =
-        {
-          sup_config with
-          Sched.restart_policy =
-            { fast_policy with Sup.backoff_base = 0.2; backoff_max = 0.2 };
-        }
-      in
-      with_sched ~config (fun s ->
-          Alcotest.(check (list string)) "healthy at start" [] (Sched.health_reasons s);
+      let policy = { fast_policy with Sup.backoff_base = 0.2; backoff_max = 0.2 } in
+      with_sched ~policy (fun pool s ->
+          Alcotest.(check (list string)) "healthy at start" [] (Pool.health_reasons pool);
           FP.activate ~persistent:false "sched.dispatch" FP.Crash;
           (match Sched.run s "ok" with
           | Error (QE.Worker_crashed _) -> ()
-          | _ -> Alcotest.fail "expected the dispatcher to crash");
-          eventually "degraded during backoff" (fun () -> Sched.health_reasons s <> []);
+          | _ -> Alcotest.fail "expected the serving worker to crash");
+          eventually "degraded during backoff" (fun () -> Pool.health_reasons pool <> []);
           eventually "serving again after restart" (fun () ->
-              Sched.health_reasons s = []);
+              Pool.health_reasons pool = []);
           match Sched.run s "ok" with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-recovery query failed: %s" (QE.to_string e)))
@@ -362,7 +403,7 @@ let test_health_degraded_and_back () =
 
 let test_scheduler_drain () =
   with_clean_failpoints (fun () ->
-      with_sched (fun s ->
+      with_sched (fun _ s ->
           let tk = Sched.submit s "sleep:0.1" in
           let drain_clean = ref false in
           let d = Domain.spawn (fun () -> drain_clean := Sched.drain ~deadline_seconds:10.0 s) in
@@ -408,7 +449,7 @@ let test_engine_drain () =
 
 (* ---- seeded crash-injection sweep ------------------------------------ *)
 
-(* Every builtin site, dispatcher/watchdog/worker domains, random hit
+(* Every builtin site, serving and helping pool workers, random hit
    counts, concurrent clients: no await may hang, every client gets
    rows or a structured error, and at quiescence the arena has no
    leaked leases and every supervised domain is healthy again. *)
@@ -419,20 +460,18 @@ let crash_sweep_seeds () =
 
 let test_crash_sweep () =
   with_clean_failpoints (fun () ->
-      let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
-      Aeq.Engine.load_tpch engine ~scale_factor:0.002;
-      Aeq.Engine.set_scheduler_config engine
-        {
-          Sched.default_config with
-          dispatchers = 2;
-          queue_capacity = 64;
-          watchdog_period = 0.01;
-          restart_policy =
+      let engine =
+        Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off
+          ~restart_policy:
             (* generous budget: the sweep injects one crash per seed
                and must never exhaust a supervisor *)
             { Sup.max_restarts = 10_000; window_seconds = 10.0;
-              backoff_base = 0.0005; backoff_max = 0.005 };
-        };
+              backoff_base = 0.0005; backoff_max = 0.005 }
+          ()
+      in
+      Aeq.Engine.load_tpch engine ~scale_factor:0.002;
+      Aeq.Engine.set_scheduler_config engine
+        { Sched.default_config with queue_capacity = 64 };
       let arena = Aeq_storage.Catalog.arena (Aeq.Engine.catalog engine) in
       let sites = FP.valid_sites () in
       (* warm up, then snapshot the lease baseline *)
@@ -501,6 +540,46 @@ let test_crash_sweep () =
       | Error e -> Alcotest.failf "engine broken after sweep: %s" (QE.to_string e));
       Aeq.Engine.close engine)
 
+(* ---- the one domain budget ------------------------------------------- *)
+
+(* An engine's only domains are its pool workers (the domain-spawn
+   lint rule forbids spawning anywhere else): an engine that serves
+   runs n_threads of them, and a 1-thread engine that only runs direct
+   queries runs none. *)
+let test_domain_budget () =
+  with_clean_failpoints (fun () ->
+      let sql = "select count(*) as n from lineitem" in
+      let engine = Aeq.Engine.create ~n_threads:2 ~cost_model:CM.off () in
+      Aeq.Engine.load_tpch engine ~scale_factor:0.002;
+      let workers () = List.map Sup.name (Pool.supervisors (Aeq.Engine.pool engine)) in
+      ignore (Aeq.Engine.query engine sql);
+      Alcotest.(check (list string))
+        "direct queries: the caller is the second participant" [ "pool.worker-0" ]
+        (workers ());
+      let clients =
+        List.init 3 (fun _ ->
+            Domain.spawn (fun () ->
+                for _ = 1 to 4 do
+                  match Aeq.Engine.query_concurrent engine sql with
+                  | Ok _ -> ()
+                  | Error e -> Alcotest.failf "served query failed: %s" (QE.to_string e)
+                done))
+      in
+      List.iter Domain.join clients;
+      Alcotest.(check (list string))
+        "serving: two supervised domains, both pool workers"
+        [ "pool.worker-0"; "pool.worker-1" ]
+        (workers ());
+      Aeq.Engine.close engine;
+      let solo = Aeq.Engine.create ~n_threads:1 ~cost_model:CM.off () in
+      Aeq.Engine.load_tpch solo ~scale_factor:0.002;
+      for _ = 1 to 3 do
+        ignore (Aeq.Engine.query solo sql)
+      done;
+      Alcotest.(check int) "a 1-thread direct engine spawns none" 0
+        (List.length (Pool.supervisors (Aeq.Engine.pool solo)));
+      Aeq.Engine.close solo)
+
 let () =
   Alcotest.run "supervisor"
     [
@@ -514,19 +593,25 @@ let () =
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "dispatcher crash completes ticket" `Quick
-            test_dispatcher_crash_completes_ticket;
-          Alcotest.test_case "crash mid-stream" `Quick
-            test_dispatcher_crash_then_healthy_serving;
-          Alcotest.test_case "watchdog crash restart" `Quick test_watchdog_crash_restart;
+          Alcotest.test_case "serving crash completes ticket" `Quick
+            test_serving_crash_completes_ticket;
+          Alcotest.test_case "crash mid-stream" `Quick test_serving_crash_then_healthy;
+          Alcotest.test_case "exhausted pool rejects queued" `Quick
+            test_exhausted_pool_rejects_queued;
           Alcotest.test_case "health degraded and back" `Quick
             test_health_degraded_and_back;
           Alcotest.test_case "graceful drain" `Quick test_scheduler_drain;
         ] );
-      ("pool", [ Alcotest.test_case "worker crash reclaim" `Quick test_pool_worker_crash ]);
+      ( "pool",
+        [
+          Alcotest.test_case "worker crash reclaim" `Quick test_pool_worker_crash;
+          Alcotest.test_case "posted job crash and abandon" `Quick
+            test_posted_job_crash_and_abandon;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "drain closes admission" `Quick test_engine_drain;
+          Alcotest.test_case "domain budget" `Quick test_domain_budget;
           Alcotest.test_case "crash sweep" `Slow test_crash_sweep;
         ] );
     ]
