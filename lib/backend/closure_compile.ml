@@ -265,12 +265,18 @@ let compile (prog : B.t) mem =
   while !idx < n do
     let start = !idx in
     let chunk_id = chunk_of_code.(start) in
-    (* collect straight-line steps *)
+    (* collect straight-line steps; the chunk ends either on its own
+       control instruction or by falling through into the next leader
+       (which may itself be a branch, heading a chunk of its own) *)
     let steps = ref [] in
     let stop = ref false in
+    let ends_on_control = ref false in
     while not !stop do
       let i = code.(!idx) in
-      if is_control i then stop := true
+      if is_control i then begin
+        stop := true;
+        ends_on_control := true
+      end
       else begin
         let step = if is_call i then call_step prog i else step_of mem i in
         steps := step :: !steps;
@@ -280,7 +286,7 @@ let compile (prog : B.t) mem =
     done;
     (* terminal closure: Bytes.t -> int *)
     let terminal : Bytes.t -> int =
-      if !idx < n && is_control code.(!idx) then begin
+      if !ends_on_control then begin
         let i = code.(!idx) in
         let a = i.B.a and b = i.B.b and c = i.B.c and d = i.B.d in
         let t = i.B.op in

@@ -23,8 +23,8 @@ let to_string (plan : Physical.t) =
         p.Physical.p_probes;
       match p.Physical.p_sink with
       | Physical.S_build { ht; key; payload } ->
-        add "  sink: build ht%d key=%s payload=%d cols\n" ht (Scalar.to_string key)
-          (List.length payload)
+        add "  sink: build ht%d key=%s payload=%d cols, est. %d rows\n" ht (Scalar.to_string key)
+          (List.length payload) plan.Physical.pl_hts.(ht).Physical.ht_expected
       | Physical.S_agg { keys; accs; _ } ->
         add "  sink: aggregate keys=[%s] accs=%d\n"
           (String.concat "; " (List.map Scalar.to_string keys))

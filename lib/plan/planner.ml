@@ -10,10 +10,14 @@ let fail fmt = Format.kasprintf (fun s -> raise (Plan_error s)) fmt
 (* Binding environment                                                *)
 (* ---------------------------------------------------------------- *)
 
+(* A dictionary predicate, by what decides its bitmap: the bitmap is
+   over dictionary codes, so it does not depend on the column. *)
+type pred_key = In_set of string list (* sorted, distinct *) | Like_pattern of string
+
 type env = {
   catalog : Aeq_storage.Catalog.t;
   trefs : (Table.t * string) array;
-  mutable preds : Aeq_rt.Bitmap.t list; (* reversed *)
+  mutable preds : (pred_key * Aeq_rt.Bitmap.t) list; (* reversed *)
   mutable n_preds : int;
 }
 
@@ -41,11 +45,20 @@ let resolve_col env qual name =
       name
   | _ -> fail "ambiguous column %s" name
 
-let register_pred env bm =
-  env.preds <- bm :: env.preds;
-  let id = env.n_preds in
-  env.n_preds <- id + 1;
-  id
+(* Id of the bitmap for [key], evaluating it over the dictionary only
+   the first time a query mentions the predicate. *)
+let pred_id env key matches =
+  let rec find i = function
+    | [] -> None
+    | (k, _) :: rest -> if k = key then Some (env.n_preds - 1 - i) else find (i + 1) rest
+  in
+  match find 0 env.preds with
+  | Some id -> id
+  | None ->
+    let bm = Aeq_rt.Dict.codes_matching (Aeq_storage.Catalog.dict env.catalog) matches in
+    env.preds <- (key, bm) :: env.preds;
+    env.n_preds <- env.n_preds + 1;
+    env.n_preds - 1
 
 (* SQL LIKE pattern -> predicate on a string ( % and _ wildcards ).
    Evaluated over every dictionary entry at plan time, so the common
@@ -149,16 +162,15 @@ let rec bind env (e : Ast.expr) : Scalar.t =
     let s = bind env e in
     match Scalar.dtype s with
     | Dtype.Str ->
-      let dict = Aeq_storage.Catalog.dict env.catalog in
       let wanted =
         List.map
           (function
             | Ast.Lit_str x -> x
             | _ -> fail "IN over strings expects string literals")
           items
+        |> List.sort_uniq String.compare
       in
-      let bm = Aeq_rt.Dict.codes_matching dict (fun s -> List.mem s wanted) in
-      Scalar.Dict_match (register_pred env bm, s)
+      Scalar.Dict_match (pred_id env (In_set wanted) (fun s -> List.mem s wanted), s)
     | _ ->
       let eqs = List.map (fun item -> bind_bin env Ast.Eq e item) items in
       List.fold_left
@@ -168,9 +180,7 @@ let rec bind env (e : Ast.expr) : Scalar.t =
     let s = bind env e in
     match Scalar.dtype s with
     | Dtype.Str ->
-      let dict = Aeq_storage.Catalog.dict env.catalog in
-      let bm = Aeq_rt.Dict.codes_matching dict (like_matcher pattern) in
-      Scalar.Dict_match (register_pred env bm, s)
+      Scalar.Dict_match (pred_id env (Like_pattern pattern) (like_matcher pattern), s)
     | _ -> fail "LIKE requires a string operand")
   | Ast.Extract_year e -> (
     let s = bind env e in
@@ -326,6 +336,103 @@ and rewrite_agg_structural env st (e : Ast.expr) : Scalar.t =
   | _ -> fail "expression %s is neither an aggregate nor a group key" (Ast.expr_to_string e)
 
 (* ---------------------------------------------------------------- *)
+(* Cardinality information                                            *)
+(* ---------------------------------------------------------------- *)
+
+let rec disjuncts = function
+  | Scalar.Bin (Ast.Or, a, b, _) -> disjuncts a @ disjuncts b
+  | s -> [ s ]
+
+let rec atoms = function Scalar.Bin (Ast.And, a, b, _) -> atoms a @ atoms b | s -> [ s ]
+
+let fold_bool op = function
+  | [] -> assert false
+  | x :: xs -> List.fold_left (fun acc a -> Scalar.Bin (op, acc, a, Dtype.Bool)) x xs
+
+let add_distinct acc x = if List.mem x acc then acc else acc @ [ x ]
+
+(* An atom that cannot trap on any row: a comparison or dictionary
+   match over columns and constants. Arithmetic (overflow-checked, or
+   a division) never qualifies, so a lifted filter never runs an
+   operation on a row the original plan did not evaluate it on. *)
+let trap_free =
+  let operand = function Scalar.Col _ | Scalar.Const _ -> true | _ -> false in
+  function
+  | Scalar.Bin ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge), a, b, _) ->
+    operand a && operand b
+  | Scalar.Dict_match (_, e) -> operand e
+  | _ -> false
+
+(* Filters implied by a disjunction D1 ∨ … ∨ Dk: each trap-free atom
+   common to all Di, and for each table T of which every Di has a
+   trap-free T-only atom, ∨i (∧ T-only atoms of Di) — a filter the
+   plan can apply while scanning T. The disjunction itself stays as
+   the residual filter. *)
+let implied_filters = function
+  | Scalar.Bin (Ast.Or, _, _, _) as d -> (
+    match List.map (fun di -> List.filter trap_free (atoms di)) (disjuncts d) with
+    | [] -> []
+    | first :: _ as branches ->
+      let common =
+        List.filter (fun a -> List.for_all (List.mem a) branches) first
+        |> List.fold_left add_distinct []
+      in
+      (* each remaining atom with the table it reads, if only one *)
+      let branches =
+        List.map
+          (List.filter_map (fun a ->
+               if List.mem a common then None
+               else
+                 match Scalar.trefs_used a with [ t ] -> Some (t, a) | _ -> None))
+          branches
+      in
+      let per_table t =
+        let local =
+          List.map (List.filter_map (fun (u, a) -> if u = t then Some a else None)) branches
+        in
+        if List.mem [] local then None
+        else Some (fold_bool Ast.Or (List.map (fold_bool Ast.And) local))
+      in
+      common
+      @ List.filter_map per_table (List.sort_uniq compare (List.map fst (List.hd branches))))
+  | _ -> []
+
+(* Rows sampled per table to estimate its filters' selectivity. *)
+let sample_rows = 64
+
+(* Estimated fraction of [tbl]'s rows that pass all of [filters]:
+   exact for a table of at most [sample_rows] rows, otherwise measured
+   over [sample_rows] evenly strided rows, with no hit read as one (a
+   sample cannot tell 0 from "below 1/64"). A filter that traps on a
+   sampled row makes the estimate 1. *)
+let selectivity arena preds (tbl : Table.t) filters =
+  let n = tbl.Table.n_rows in
+  if filters = [] || n = 0 then 1.0
+  else begin
+    let m = Stdlib.min n sample_rows in
+    let row = ref 0 in
+    let col ~tref:_ ~col = Table.get arena tbl ~col ~row:!row in
+    let acol _ = 0L in
+    let pred id code = Aeq_rt.Bitmap.get preds.(id) (Int64.to_int code) in
+    let passes f = Scalar_eval.eval_bool ~col ~acol ~pred f in
+    match
+      let hits = ref 0 in
+      for k = 0 to m - 1 do
+        row := k * n / m;
+        if List.for_all passes filters then incr hits
+      done;
+      !hits
+    with
+    | hits when m = n -> float_of_int hits /. float_of_int n
+    | hits -> float_of_int (Stdlib.max hits 1) /. float_of_int m
+    | exception Aeq_ir.Trap.Error _ -> 1.0
+  end
+
+(* Selectivity credited to a join edge or multi-table filter that
+   becomes evaluable once a candidate table joins. *)
+let residual_selectivity = 0.1
+
+(* ---------------------------------------------------------------- *)
 (* Physical planning                                                  *)
 (* ---------------------------------------------------------------- *)
 
@@ -357,6 +464,11 @@ let plan catalog (q : Ast.query) : Physical.t =
     (fun c ->
       if Scalar.dtype c <> Dtype.Bool then fail "WHERE conjunct is not boolean")
     bound_conj;
+  (* filters implied by disjunctions join the conjuncts (a common
+     equality between two tables becomes a join edge) *)
+  let bound_conj =
+    List.fold_left add_distinct bound_conj (List.concat_map implied_filters bound_conj)
+  in
   (* split equi-joins from filters *)
   let joins = ref [] in
   let filters = ref [] in
@@ -422,7 +534,7 @@ let plan catalog (q : Ast.query) : Physical.t =
         (idx, o.Ast.desc))
       q.Ast.order_by
   in
-  (* 5. join order: BFS from the largest table *)
+  (* 5. join order: the largest table drives; the others join greedily *)
   let driver =
     let best = ref 0 in
     for i = 1 to n_trefs - 1 do
@@ -430,17 +542,69 @@ let plan catalog (q : Ast.query) : Physical.t =
     done;
     !best
   in
+  (* estimated selectivity of each table's single-table filters, and
+     the tables of each multi-table filter *)
+  let filter_trefs = List.map (fun f -> (f, Scalar.trefs_used f)) filters in
+  let sel =
+    let preds = Array.of_list (List.rev_map snd env.preds) in
+    let arena = Aeq_storage.Catalog.arena catalog in
+    Array.init n_trefs (fun t ->
+        if t = driver then 1.0
+        else
+          selectivity arena preds (fst trefs.(t))
+            (List.filter_map (fun (f, ts) -> if ts = [ t ] then Some f else None) filter_trefs))
+  in
+  let multi_tref_filters =
+    List.filter_map (function _, (_ :: _ :: _ as ts) -> Some ts | _ -> None) filter_trefs
+  in
   let available = Array.make n_trefs false in
   available.(driver) <- true;
   let probe_order = ref [] in
   (* (build_tref, build_col, probe_key_tref, probe_key_col) *)
   let remaining = ref joins in
   let extra_join_filters = ref [] in
-  (* Greedy expansion with a key-first heuristic: among edges whose one
-     side is already reachable, prefer building the hash table on the
-     new table's primary key (column 0 by schema convention — e.g.
-     join customers through c_custkey, and leave c_nationkey =
-     s_nationkey as a residual filter, like a sane optimizer would). *)
+  (* the tables not yet joined that are reachable from the joined ones
+     only through [b] *)
+  let branch b =
+    let seen = Array.copy available in
+    seen.(b) <- true;
+    let rec visit t =
+      List.iter
+        (fun (ta, _, tb, _) ->
+          let next = if ta = t then tb else if tb = t then ta else -1 in
+          if next >= 0 && not seen.(next) then begin
+            seen.(next) <- true;
+            visit next
+          end)
+        joins
+    in
+    Array.iteri (fun t a -> if a then visit t) available;
+    List.filter (fun t -> t = b || not seen.(t)) (List.init n_trefs Fun.id)
+  in
+  (* join edges (besides [edge]) and multi-table filters that joining
+     [b] makes evaluable *)
+  let residuals edge b =
+    let joined t = t = b || available.(t) in
+    List.length
+      (List.filter
+         (fun ((ta, _, tb, _) as e) -> e != edge && (ta = b || tb = b) && joined ta && joined tb)
+         !remaining)
+    + List.length
+        (List.filter (fun ts -> List.mem b ts && List.for_all joined ts) multi_tref_filters)
+  in
+  (* Greedy expansion. Key-first is a hard rule: among edges whose one
+     side is already reachable, build the hash table on the new
+     table's primary key when any edge allows it (column 0 by schema
+     convention — e.g. join customers through c_custkey, and leave
+     c_nationkey = s_nationkey as a residual filter). Among those
+     candidates, take the one whose branch has the smallest estimated
+     selectivity product, crediting each residual it makes evaluable,
+     then the smaller table. *)
+  let rank (edge, (b, _, _, _)) =
+    let branch_sel = List.fold_left (fun acc t -> acc *. sel.(t)) 1.0 (branch b) in
+    (branch_sel *. (residual_selectivity ** float_of_int (residuals edge b)),
+     (fst trefs.(b)).Table.n_rows)
+  in
   let rec expand () =
     (* drop edges whose both sides are reachable: residual filters *)
     let keep =
@@ -474,12 +638,16 @@ let plan catalog (q : Ast.query) : Physical.t =
     match candidates with
     | [] -> ()
     | _ ->
-      let edge, probe =
-        match
-          List.find_opt (fun (_, (_, build_col, _, _)) -> build_col = 0) candidates
-        with
-        | Some c -> c
-        | None -> List.hd candidates
+      let pool =
+        match List.filter (fun (_, (_, build_col, _, _)) -> build_col = 0) candidates with
+        | [] -> candidates
+        | keyed -> keyed
+      in
+      let ranked = List.map (fun c -> (rank c, c)) pool in
+      let _, (edge, probe) =
+        List.fold_left
+          (fun best r -> if compare (fst r) (fst best) < 0 then r else best)
+          (List.hd ranked) (List.tl ranked)
       in
       let build_tref, _, _, _ = probe in
       available.(build_tref) <- true;
@@ -567,7 +735,9 @@ let plan catalog (q : Ast.query) : Physical.t =
             Scalar.Col { tref = tb; col = cb; dtype = tbl.Table.columns.(cb).Table.dtype };
           ht_payload = payload;
           ht_payload_bytes = 8 * List.length payload;
-          ht_expected = tbl.Table.n_rows;
+          (* chained, so an underestimate only lengthens chains *)
+          ht_expected =
+            int_of_float (Float.ceil (sel.(tb) *. float_of_int tbl.Table.n_rows));
         })
       probe_order
   in
@@ -698,7 +868,7 @@ let plan catalog (q : Ast.query) : Physical.t =
     pl_hts = Array.of_list ht_specs;
     pl_agg = agg_cfg;
     pl_out = out_cfg;
-    pl_preds = Array.of_list (List.rev env.preds);
+    pl_preds = Array.of_list (List.rev_map snd env.preds);
     pl_order_by = order_by;
     pl_limit = q.Ast.limit;
   }

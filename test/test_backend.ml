@@ -238,6 +238,48 @@ let test_opt_shrinks_ir () =
   Alcotest.(check int64) "still correct" (Int64.of_int ((10 + 1) * 2 + 42))
     (Aeq_backend.Closure_compile.run c.Aeq_backend.Compiler.exec ~args:[| 10L |] ())
 
+(* A chunk that falls through into a leader which is itself a branch
+   (here the [jmp_slt] loop header, entered straight from the set-up
+   code and again by the back edge) must end there and leave the
+   branch to its own chunk. Translated code hides the case by ending
+   every block with an explicit [jmp]. *)
+let test_fallthrough_into_branch_leader () =
+  let module BC = Aeq_vm.Bytecode in
+  let module Op = Aeq_vm.Opcode in
+  let insn ?(a = 0) ?(b = 0) ?(c = 0) ?(d = 0) op = { BC.op; a; b; c; d; e = 0; lit = 0L } in
+  (* slots: 0 = 0, 8 = 1 (constant pool), 16 = n, 24 = i, 32 = acc *)
+  let prog =
+    {
+      BC.name = "sum_below";
+      code =
+        [|
+          insn Op.Mov ~a:24 ~b:0;
+          insn Op.Mov ~a:32 ~b:0;
+          insn Op.JmpSlt ~a:24 ~b:16 ~c:3 ~d:6;
+          insn Op.Add_i64 ~a:32 ~b:32 ~c:24;
+          insn Op.Add_i64 ~a:24 ~b:24 ~c:8;
+          insn Op.Jmp ~a:2;
+          insn Op.RetVal ~a:32;
+        |];
+      n_reg_bytes = 40;
+      const_pool = [| 0L; 1L |];
+      param_offsets = [| 16 |];
+      rt_table = [||];
+      messages = [||];
+      src_instr_count = 7;
+    }
+  in
+  let mem = A.create () in
+  let closures = Aeq_backend.Closure_compile.compile prog mem in
+  List.iter
+    (fun n ->
+      let args = [| Int64.of_int n |] in
+      let want = Aeq_vm.Interp.run prog mem ~args () in
+      Alcotest.(check int64) "interpreter sums 0..n-1" (Int64.of_int (n * (n - 1) / 2)) want;
+      Alcotest.(check int64) "closures agree" want
+        (Aeq_backend.Closure_compile.run closures ~args ()))
+    [ 0; 1; 10 ]
+
 let test_cost_model_shape () =
   let m = CM.default in
   (* bytecode < unopt < opt at every size *)
@@ -284,6 +326,8 @@ let () =
         [
           Alcotest.test_case "unopt runs" `Quick test_unopt_runs_simple;
           Alcotest.test_case "opt shrinks IR" `Quick test_opt_shrinks_ir;
+          Alcotest.test_case "fall-through into branch leader" `Quick
+            test_fallthrough_into_branch_leader;
         ] );
       ( "cost model",
         [

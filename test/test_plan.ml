@@ -157,6 +157,96 @@ let test_explain_structure () =
   Alcotest.(check bool) "mentions probes" true
     (List.exists (fun l -> String.length l > 7 && String.sub l 2 5 = "probe") lines)
 
+(* ---- cardinality-aware planning ---------------------------------- *)
+
+let driver_pipeline p =
+  List.find (fun pipe -> pipe.P.p_probes <> []) p.P.pl_pipelines
+
+let probe_aliases p =
+  List.map (fun pr -> snd p.P.pl_trefs.(pr.P.pr_tref)) (driver_pipeline p).P.p_probes
+
+let build_pipeline p alias =
+  List.find (fun pipe -> pipe.P.p_name = "build " ^ alias) p.P.pl_pipelines
+
+let index_of x l =
+  let rec go i = function [] -> Alcotest.failf "%s not probed" x | y :: r -> if y = x then i else go (i + 1) r in
+  go 0 l
+
+let rec mentions_op op = function
+  | Sc.Bin (o, a, b, _) -> o = op || mentions_op op a || mentions_op op b
+  | Sc.Not e | Sc.Year e | Sc.Dict_match (_, e) -> mentions_op op e
+  | Sc.Case (whens, els, _) ->
+    mentions_op op els || List.exists (fun (c, v) -> mentions_op op c || mentions_op op v) whens
+  | Sc.Col _ | Sc.Acol _ | Sc.Const _ -> false
+
+let test_probe_order_by_selectivity () =
+  (* the 1-in-25 nation filters are reached through small tables, so
+     they probe before the 1500-row orders table *)
+  let q7 = probe_aliases (plan (Aeq_workload.Queries.tpch_q 7)) in
+  Alcotest.(check bool) "q7: n1 before orders" true (index_of "n1" q7 < index_of "orders" q7);
+  let q21 = probe_aliases (plan (Aeq_workload.Queries.tpch_q 21)) in
+  Alcotest.(check bool) "q21: nation before orders" true
+    (index_of "nation" q21 < index_of "orders" q21)
+
+let test_q19_implied_filters () =
+  let p = plan (Aeq_workload.Queries.tpch_q 19) in
+  Alcotest.(check int) "3 distinct dictionary predicates" 3 (Array.length p.P.pl_preds);
+  Alcotest.(check bool) "part gets a scan filter" true
+    ((build_pipeline p "part").P.p_scan_filters <> []);
+  let driver = driver_pipeline p in
+  Alcotest.(check bool) "lineitem gets a scan filter" true (driver.P.p_scan_filters <> []);
+  Alcotest.(check bool) "residual OR kept" true
+    (List.exists (mentions_op Aeq_sql.Ast.Or)
+       (List.concat_map (fun pr -> pr.P.pr_filters) driver.P.p_probes))
+
+let test_division_not_lifted () =
+  let p =
+    plan
+      "select count(*) from lineitem join orders on o_orderkey = l_orderkey \
+       where (o_orderpriority = '1-URGENT' and l_extendedprice / l_quantity > 1500.00) \
+          or (o_orderpriority = '2-HIGH' and l_quantity < 5)"
+  in
+  (* orders has a comparison in both branches, lineitem only a division
+     in the first: one implied filter, on orders *)
+  Alcotest.(check int) "orders gets the implied filter" 1
+    (List.length (build_pipeline p "orders").P.p_scan_filters);
+  let driver = driver_pipeline p in
+  Alcotest.(check int) "nothing lifted onto lineitem" 0 (List.length driver.P.p_scan_filters);
+  List.iter
+    (fun pipe ->
+      List.iter
+        (fun f -> Alcotest.(check bool) "no division in a scan filter" false (mentions_op Aeq_sql.Ast.Div f))
+        pipe.P.p_scan_filters)
+    p.P.pl_pipelines;
+  Alcotest.(check bool) "the division stays in the residual" true
+    (List.exists (mentions_op Aeq_sql.Ast.Div)
+       (List.concat_map (fun pr -> pr.P.pr_filters) driver.P.p_probes))
+
+let test_estimate_survives_traps () =
+  let orders = Aeq_storage.Catalog.table (Lazy.force catalog) "orders" in
+  List.iter
+    (fun filter ->
+      let p =
+        plan ("select count(*) from lineitem join orders on o_orderkey = l_orderkey where " ^ filter)
+      in
+      Alcotest.(check int) (filter ^ ": estimate falls back to every row")
+        orders.Aeq_storage.Table.n_rows p.P.pl_hts.(0).P.ht_expected)
+    [ "o_custkey / 0 > 1"; "o_custkey * 9223372036854775807 > 1" ]
+
+let test_estimated_build_rows () =
+  let p = plan (Aeq_workload.Queries.tpch_q 21) in
+  let nation =
+    Array.to_list p.P.pl_hts
+    |> List.find (fun s -> String.equal (table_of_tref p s.P.ht_build_tref) "nation")
+  in
+  (* 25 rows are evaluated exactly: one nation is SAUDI ARABIA *)
+  Alcotest.(check int) "exact on a small table" 1 nation.P.ht_expected;
+  let text = Aeq_plan.Explain.to_string p in
+  Alcotest.(check bool) "explain prints the estimate" true
+    (List.exists
+       (fun l -> String.length l > 10 && String.ends_with ~suffix:"est. 1 rows" l)
+       (String.split_on_char '\n' text))
+
 let () =
   Alcotest.run "plan"
     [
@@ -167,6 +257,14 @@ let () =
           Alcotest.test_case "filter placement" `Quick test_local_filters_go_to_build_pipeline;
           Alcotest.test_case "q5 snowflake" `Quick test_q5_snowflake_shape;
           Alcotest.test_case "payload columns" `Quick test_payload_contains_downstream_columns;
+        ] );
+      ( "cardinality",
+        [
+          Alcotest.test_case "probe order by selectivity" `Quick test_probe_order_by_selectivity;
+          Alcotest.test_case "q19 implied filters" `Quick test_q19_implied_filters;
+          Alcotest.test_case "division not lifted" `Quick test_division_not_lifted;
+          Alcotest.test_case "estimate survives traps" `Quick test_estimate_survives_traps;
+          Alcotest.test_case "estimated build rows" `Quick test_estimated_build_rows;
         ] );
       ( "aggregates",
         [
