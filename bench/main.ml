@@ -49,6 +49,16 @@ let time_best ?(n = 3) f =
   done;
   (Option.get !result, !best)
 
+(* one untimed warmup run (caches filled, lazy set-up done), then the
+   median of [n] timed samples: the tables' cells are single short
+   calls, and one or two timings of them track host drift, not the
+   engine *)
+let median_of ?(n = 5) sample =
+  ignore (sample ());
+  Stats.median (List.init n (fun _ -> sample ()))
+
+let time_median ?n f = median_of ?n (fun () -> snd (Clock.time_it f))
+
 (* ------------------------------------------------------------------ *)
 (* FIG 1 / FIG 3: compilation phases of Q1                             *)
 (* ------------------------------------------------------------------ *)
@@ -212,11 +222,11 @@ let table1 () =
   let maxes = Array.make 5 0.0 in
   List.iteri
     (fun i (name, sql) ->
-      let plan, t_plan = time_best ~n:2 (fun () -> Aeq.Engine.plan e sql) in
+      let plan = Aeq.Engine.plan e sql in
+      let t_plan = time_median (fun () -> Aeq.Engine.plan e sql) in
       let layout = Aeq_plan.Physical.layout plan in
-      let workers, t_cdg =
-        time_best ~n:2 (fun () -> Aeq_codegen.Codegen.all_workers plan layout)
-      in
+      let workers = Aeq_codegen.Codegen.all_workers plan layout in
+      let t_cdg = time_median (fun () -> Aeq_codegen.Codegen.all_workers plan layout) in
       let t m =
         List.fold_left (fun a f -> a +. CM.compile_time model m (Func.n_instrs f)) 0.0 workers
       in
@@ -252,14 +262,12 @@ let table2 () =
   List.iteri
     (fun i (name, sql) ->
       let plan = Aeq.Engine.plan e sql in
-      let _, t_pg = time_best ~n:1 (fun () -> Aeq_baseline.Volcano.execute catalog plan) in
-      let _, t_mo = time_best ~n:1 (fun () -> Aeq_baseline.Vectorized.execute catalog plan) in
+      let t_pg = time_median (fun () -> Aeq_baseline.Volcano.execute catalog plan) in
+      let t_mo = time_median (fun () -> Aeq_baseline.Vectorized.execute catalog plan) in
       let exec_time pool mode =
-        let r, _ =
-          time_best ~n:2 (fun () ->
-              Driver.execute ~cost_model:(Aeq.Engine.cost_model e) catalog plan ~mode ~pool)
-        in
-        r.Driver.stats.Driver.exec_seconds
+        median_of (fun () ->
+            (Driver.execute ~cost_model:(Aeq.Engine.cost_model e) catalog plan ~mode ~pool)
+              .Driver.stats.Driver.exec_seconds)
       in
       let row =
         [|
@@ -610,11 +618,10 @@ let concurrency () =
   Printf.printf "wrote BENCH_concurrency.json\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Observability: emit trace.json + metrics.prom, validate them, and   *)
-(* smoke-check the enabled-vs-disabled overhead                        *)
+(* Observability artifacts: emit trace.json + metrics.prom and         *)
+(* validate them                                                       *)
 (* ------------------------------------------------------------------ *)
-let obs () =
-  header "OBS: observability artifacts (trace.json, metrics.prom) + overhead smoke";
+let obs_artifacts () =
   let sf = Stdlib.min base_sf 0.01 in
   (* artifacts: a fresh engine with observability on from birth, so the
      engine/scheduler gauges register and the spans cover the whole
@@ -665,122 +672,10 @@ let obs () =
         (String.length metrics)
         (List.length (Aeq.Engine.metrics ()));
       Aeq.Engine.close e);
-  (* overhead smoke: the same warmed statement in a steady loop, with
-     the subsystem off and on. Loose thresholds — this guards against
-     regressions that make "disabled" expensive, not micro-noise. *)
-  let e = Aeq.Engine.create ~n_threads () in
-  Aeq.Engine.load_tpch e ~scale_factor:sf;
-  let sql = Aeq_workload.Queries.tpch_q 6 in
-  ignore (Aeq.Engine.query e sql);
-  let iters = 15 in
-  let measure () =
-    let t0 = Clock.now () in
-    for _ = 1 to iters do
-      ignore (Aeq.Engine.query e sql)
-    done;
-    Clock.now () -. t0
-  in
-  ignore (measure ());
-  let t_off = measure () in
-  let t_on = Aeq_obs.Control.with_enabled true measure in
-  let overhead = 100.0 *. ((t_on -. t_off) /. t_off) in
-  Printf.printf
-    "overhead smoke: disabled %.1f ms | enabled %.1f ms | %+.1f%% (%d iters)\n"
-    (ms t_off) (ms t_on) overhead iters;
-  if overhead > 5.0 then
-    Printf.printf "WARNING: enabled-observability overhead above the 5%% target\n";
-  if overhead > 50.0 then failwith "obs: observability overhead out of bounds";
-  Aeq.Engine.close e;
   Printf.printf "wrote trace.json and metrics.prom\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Simulation yield points: cost of the instrumentation when disabled  *)
-(* and when enabled with a no-op handler                               *)
-(* ------------------------------------------------------------------ *)
-let sim () =
-  header "SIM: yield-point overhead on the warmed prepared-statement loop";
-  let sf = Stdlib.min base_sf 0.01 in
-  let e = Aeq.Engine.create ~n_threads () in
-  Aeq.Engine.load_tpch e ~scale_factor:sf;
-  let sql = Aeq_workload.Queries.tpch_q 6 in
-  ignore (Aeq.Engine.query e sql);
-  let iters = 25 in
-  let measure () =
-    let t0 = Clock.now () in
-    for _ = 1 to iters do
-      ignore (Aeq.Engine.query e sql)
-    done;
-    Clock.now () -. t0
-  in
-  ignore (measure ());
-  (* best-of to push scheduling noise out of both configurations *)
-  let best f =
-    let b = ref infinity in
-    for _ = 1 to 3 do
-      let dt = f () in
-      if dt < !b then b := dt
-    done;
-    !b
-  in
-  let t_off = best measure in
-  let t_on =
-    Aeq_util.Yieldpoint.with_handler (fun _site -> ()) (fun () -> best measure)
-  in
-  let overhead = 100.0 *. ((t_on -. t_off) /. t_off) in
-  Printf.printf
-    "yield points: disabled %.2f ms | no-op handler %.2f ms | %+.1f%% (%d iters)\n"
-    (ms t_off) (ms t_on) overhead iters;
-  if overhead > 2.0 then
-    Printf.printf "WARNING: disabled-yield-point overhead above the 2%% target\n";
-  if overhead > 50.0 then failwith "sim: yield-point overhead out of bounds";
-  Aeq.Engine.close e
-
-(* ------------------------------------------------------------------ *)
-(* Race detector: cost of the guarded-by instrumentation when the      *)
-(* detector is disabled (one atomic load + branch per hook) and when   *)
-(* it is armed                                                         *)
-(* ------------------------------------------------------------------ *)
-let race () =
-  header "RACE: detector overhead on the warmed concurrent serving loop";
-  let sf = Stdlib.min base_sf 0.01 in
-  let e = Aeq.Engine.create ~n_threads () in
-  Aeq.Engine.load_tpch e ~scale_factor:sf;
-  let sql = Aeq_workload.Queries.tpch_q 6 in
-  (* the serving path crosses every instrumented lock: scheduler
-     submit/await, engine cache, trace ring, arena, metrics *)
-  (match Aeq.Engine.query_concurrent e sql with
-  | Ok _ -> ()
-  | Error err -> failwith (Aeq_exec.Query_error.to_string err));
-  let iters = 25 in
-  let measure () =
-    let t0 = Clock.now () in
-    for _ = 1 to iters do
-      match Aeq.Engine.query_concurrent e sql with
-      | Ok _ -> ()
-      | Error err -> failwith (Aeq_exec.Query_error.to_string err)
-    done;
-    Clock.now () -. t0
-  in
-  ignore (measure ());
-  let best f =
-    let b = ref infinity in
-    for _ = 1 to 3 do
-      let dt = f () in
-      if dt < !b then b := dt
-    done;
-    !b
-  in
-  let t_off = best measure in
-  let t_on = Aeq_race.Control.with_enabled true (fun () -> best measure) in
-  let overhead = 100.0 *. ((t_on -. t_off) /. t_off) in
-  Printf.printf
-    "race detector: disabled %.2f ms | armed %.2f ms | %+.1f%% (%d iters)\n"
-    (ms t_off) (ms t_on) overhead iters;
-  if overhead > 2.0 then
-    Printf.printf "WARNING: race-detector overhead above the 2%% target\n";
-  if overhead > 50.0 then failwith "race: detector overhead out of bounds";
-  (* the disabled fast path itself, against a raw mutex: the hook must
-     cost one atomic load and a branch, nothing more *)
+(* the disabled race-detector hook against a raw mutex: it must cost
+   one atomic load and a branch, nothing more *)
+let race_lock_primitive () =
   let n = 2_000_000 in
   let raw = Mutex.create () in
   let t0 = Clock.now () in
@@ -799,50 +694,103 @@ let race () =
   Printf.printf
     "lock primitive: raw %.1f ns/op | instrumented (disabled) %.1f ns/op\n"
     (1e9 *. t_raw /. float_of_int n)
-    (1e9 *. t_instr /. float_of_int n);
-  Aeq.Engine.close e
+    (1e9 *. t_instr /. float_of_int n)
 
 (* ------------------------------------------------------------------ *)
-(* Supervision: cost of the crash barriers + supervised spawning on    *)
-(* the warmed prepared-statement serving loop                         *)
+(* Instrumentation overhead: one row per subsystem, each timing a      *)
+(* warmed Q6 loop with the subsystem off and on                        *)
 (* ------------------------------------------------------------------ *)
-let supervision () =
-  header "SUPERVISION: supervised vs bare domains on the warmed serving loop";
-  let sf = Stdlib.min base_sf 0.01 in
-  let iters = 25 in
-  (* the barrier sits on the pool-worker loop that serves admitted
-     queries, so measure the scheduler path: submit + await of an
-     already-prepared statement *)
-  let measure ~supervised =
-    let e = Aeq.Engine.create ~n_threads ~supervised () in
-    Aeq.Engine.load_tpch e ~scale_factor:sf;
-    let sql = Aeq_workload.Queries.tpch_q 6 in
-    (match Aeq.Engine.query_concurrent e sql with
-    | Ok _ -> ()
-    | Error err -> failwith (Aeq_exec.Query_error.to_string err));
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Clock.now () in
-      for _ = 1 to iters do
-        match Aeq.Engine.query_concurrent e sql with
-        | Ok _ -> ()
-        | Error err -> failwith (Aeq_exec.Query_error.to_string err)
-      done;
-      let dt = Clock.now () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Aeq.Engine.close e;
-    !best
+type overhead_row = {
+  name : string; (* scenario name on the command line *)
+  what : string;
+  off_label : string;
+  on_label : string;
+  served : bool; (* scheduler path (submit + await) instead of a direct query *)
+  with_on : (unit -> unit) -> unit; (* run the timed loop with the subsystem on *)
+  warn : float; (* overhead in % that prints a warning *)
+  fail : float; (* overhead in % that fails the run *)
+  extra : unit -> unit; (* the scenario's other checks *)
+}
+
+let overhead_rows =
+  [
+    { name = "obs"; what = "observability"; off_label = "disabled";
+      on_label = "enabled"; served = false;
+      with_on = Aeq_obs.Control.with_enabled true; warn = 5.0; fail = 50.0;
+      extra = obs_artifacts };
+    { name = "sim"; what = "yield points"; off_label = "disabled";
+      on_label = "no-op handler"; served = false;
+      with_on = Aeq_util.Site.with_handler ignore; warn = 2.0; fail = 50.0;
+      extra = ignore };
+    (* the serving path crosses every instrumented lock: scheduler
+       submit/await, engine cache, trace ring, arena, metrics *)
+    { name = "race"; what = "race detector"; off_label = "disabled";
+      on_label = "armed"; served = true;
+      with_on = Aeq_race.Control.with_enabled true; warn = 2.0; fail = 50.0;
+      extra = race_lock_primitive };
+    (* a pool worker runs its whole serving loop inside one barrier *)
+    { name = "supervision"; what = "supervision"; off_label = "direct";
+      on_label = "supervised"; served = false;
+      with_on =
+        (fun loop ->
+          let sv = Aeq_exec.Supervisor.create ~name:"bench.supervision" loop in
+          Aeq_exec.Supervisor.run sv;
+          Aeq_exec.Supervisor.join sv);
+      warn = 2.0; fail = 50.0; extra = ignore };
+  ]
+
+(* many short pairs rather than a few long ones: on a shared host a
+   burst of stolen time lands on one side of a pair, and the median
+   over 21 pairs discards it *)
+let overhead_pairs = 21
+
+let overhead_iters = 5
+
+let overhead row =
+  header (Printf.sprintf "%s: %s overhead on the warmed Q6 loop"
+            (String.uppercase_ascii row.name) row.what);
+  let e = engine_at (Stdlib.min base_sf 0.01) in
+  let sql = Aeq_workload.Queries.tpch_q 6 in
+  let query () =
+    if row.served then (
+      match Aeq.Engine.query_concurrent e sql with
+      | Ok _ -> ()
+      | Error err -> failwith (Aeq_exec.Query_error.to_string err))
+    else ignore (Aeq.Engine.query e sql)
   in
-  let t_bare = measure ~supervised:false in
-  let t_supervised = measure ~supervised:true in
-  let overhead = 100.0 *. ((t_supervised -. t_bare) /. t_bare) in
+  let loop () =
+    for _ = 1 to overhead_iters do
+      query ()
+    done
+  in
+  let time f = snd (Clock.time_it f) in
+  ignore (time loop);
+  (* alternate which side runs first, so drift hits both alike *)
+  let pairs =
+    List.init overhead_pairs (fun i ->
+        let off () = time loop and on () = time (fun () -> row.with_on loop) in
+        if i mod 2 = 0 then
+          let t_off = off () in
+          (t_off, on ())
+        else
+          let t_on = on () in
+          (off (), t_on))
+  in
+  let t_off = Stats.median (List.map fst pairs)
+  and t_on = Stats.median (List.map snd pairs) in
+  let overhead =
+    Stats.median (List.map (fun (off, on) -> 100.0 *. ((on -. off) /. off)) pairs)
+  in
   Printf.printf
-    "supervision: bare %.2f ms | supervised %.2f ms | %+.1f%% (%d iters)\n"
-    (ms t_bare) (ms t_supervised) overhead iters;
-  if overhead > 2.0 then
-    Printf.printf "WARNING: supervised-spawn overhead above the 2%% target\n";
-  if overhead > 50.0 then failwith "supervision: barrier overhead out of bounds"
+    "%s: %s %.2f ms | %s %.2f ms | %+.1f%% (medians over %d alternating \
+     pairs; overhead is the median of the per-pair ratios; %d iters)\n%!"
+    row.what row.off_label (ms t_off) row.on_label (ms t_on) overhead
+    overhead_pairs overhead_iters;
+  if overhead > row.warn then
+    Printf.printf "WARNING: %s overhead above the %.0f%% target\n" row.what row.warn;
+  if overhead > row.fail then
+    failwith (Printf.sprintf "%s: overhead out of bounds" row.name);
+  row.extra ()
 
 (* ------------------------------------------------------------------ *)
 (* Serving: open-loop load over the wire protocol                      *)
@@ -975,10 +923,8 @@ let run_one = function
   | "micro" -> micro ()
   | "concurrency" -> concurrency ()
   | "serving" -> serving ()
-  | "obs" -> obs ()
-  | "sim" -> sim ()
-  | "race" -> race ()
-  | "supervision" -> supervision ()
+  | other when List.exists (fun r -> r.name = other) overhead_rows ->
+    overhead (List.find (fun r -> r.name = other) overhead_rows)
   | other -> Printf.printf "unknown experiment %s (available: %s)\n" other (String.concat " " all)
 
 let () =

@@ -3,16 +3,15 @@
    Walks lib/**/*.ml under --root, applies the per-file rules
    (Aeq_lint.Lint), then runs the whole-tree cross-checks:
 
-   - failpoint catalog: every literal [Failpoints.hit] site in the
-     tree must be in [Failpoints.builtin_sites], and every catalog
-     entry must have at least one hit site — a dead catalog entry
-     means the chaos suite arms a site that can never fire;
+   - site catalog: every literal [Site.hit] site in the tree must be
+     in [Site.catalog], and every catalog entry, whatever its roles,
+     must have at least one hit site;
    - registry coverage: every location in DESIGN.md's "Locking
      discipline" table must be declared to [Aeq_race], and every
      declaration must be documented in the table.
 
    Scoping: lib/race and lib/sim implement (respectively: are exempt
-   from) the locking discipline, so the raw-mutex and yield-in-lock
+   from) the locking discipline, so the raw-mutex and site-in-lock
    rules skip them; the sleep rule applies to the supervised execution
    layers (lib/exec, lib/mem) where an uninterruptible sleep can stall
    shutdown or crash reclaim; the domain-spawn rule applies everywhere
@@ -53,7 +52,7 @@ let under sub path =
 let rules_for path =
   let open Aeq_lint.Lint in
   if under "race" path || under "sim" path then
-    [ "failpoint-literal"; "declare-literal"; "domain-spawn" ]
+    [ "site-literal"; "declare-literal"; "domain-spawn" ]
   else if under "exec" path || under "mem" path then all_rules
   else List.filter (fun r -> r <> "sleep-in-exec") all_rules
 
@@ -93,22 +92,10 @@ let () =
   let tree fmt =
     Printf.ksprintf (fun m -> tree_problems := !tree_problems @ [ m ]) fmt
   in
-  (* failpoint catalog, both directions *)
-  let catalog = Aeq_util.Failpoints.builtin_sites in
-  List.iter
-    (fun (site, path, line) ->
-      if not (List.mem site catalog) then
-        tree "%s:%d: [failpoint-catalog] hit site %S is not in \
-              Failpoints.builtin_sites"
-          path line site)
-    !hits;
-  List.iter
-    (fun site ->
-      if not (List.exists (fun (s, _, _) -> s = site) !hits) then
-        tree "lib/util/failpoints.ml: [failpoint-catalog] catalog site %S has \
-              no Failpoints.hit call in lib/ — dead catalog entry"
-          site)
-    catalog;
+  tree_problems :=
+    Aeq_lint.Lint.catalog_problems
+      ~catalog:(List.map fst Aeq_util.Site.catalog)
+      ~hits:!hits;
   (* registry coverage vs DESIGN.md *)
   let design_path = Filename.concat !root "DESIGN.md" in
   (if Sys.file_exists design_path then begin

@@ -130,8 +130,7 @@ let register_gauges t =
     (fun () ->
       match health t with Degraded rs -> List.length rs | _ -> 0)
 
-let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) ?restart_policy ()
-    =
+let create ?n_threads ?cost_model ?chunk_size ?restart_policy () =
   let n_threads =
     match n_threads with
     | Some n -> Stdlib.max 1 n
@@ -152,7 +151,7 @@ let create ?n_threads ?cost_model ?chunk_size ?(supervised = true) ?restart_poli
   let t =
     {
       catalog = Aeq_storage.Catalog.create ?chunk_size ();
-      pool = Aeq_exec.Pool.create ~supervised ?restart_policy ~n_threads ();
+      pool = Aeq_exec.Pool.create ?restart_policy ~n_threads ();
       cost_model;
       plan_cache = Hashtbl.create 64;
       cache_lock = Aeq_race.Lock.create "engine.cache.lock";
@@ -288,7 +287,7 @@ let prepare_entry t sql =
   let rec lookup () =
     (* yield OUTSIDE the lock: the simulator must never suspend a task
        that holds cache_lock, or every peer deadlocks behind it *)
-    Aeq_util.Yieldpoint.yield "engine.cache";
+    Aeq_util.Site.hit "engine.cache";
     Aeq_race.Lock.lock t.cache_lock;
     Aeq_race.write ~site:"engine.lookup" t.cache_loc;
     match Hashtbl.find_opt t.plan_cache sql with
@@ -301,12 +300,12 @@ let prepare_entry t sql =
         (* another caller is preparing this text; joining the wait
            (rather than preparing twice) keeps the cache single-entry
            and the duplicated codegen cost off the serving path *)
-        if Aeq_util.Yieldpoint.enabled () then begin
+        if Aeq_util.Site.simulating () then begin
           (* under simulation a real [Condition.wait] would block a
              task the scheduler thinks is runnable; spin through the
              scheduler instead and re-check on resume *)
           Aeq_race.Lock.unlock t.cache_lock;
-          Aeq_util.Yieldpoint.yield "engine.singleflight.wait";
+          Aeq_util.Site.hit "engine.singleflight.wait";
           lookup ()
         end
         else begin
@@ -335,8 +334,7 @@ let prepare_entry t sql =
           (* inside the match scrutinee so an injected fault takes the
              exception branch below: [finish] wakes the waiters and the
              preparing claim never leaks *)
-          Aeq_util.Failpoints.hit "compile.singleflight";
-          Aeq_util.Yieldpoint.yield "engine.singleflight";
+          Aeq_util.Site.hit "compile.singleflight";
           Aeq_exec.Driver.prepare ~cost_model:t.cost_model t.catalog (plan t sql)
             ~n_threads:(n_threads t)
         with
@@ -457,7 +455,7 @@ let run_query ?(mode = Aeq_exec.Driver.Adaptive) ?(collect_trace = false)
       (* a fault injected at [compile.singleflight] surfaces with the
          same structured error contract as every other injected site *)
       try prepare_entry t sql
-      with Aeq_util.Failpoints.Injected site ->
+      with Aeq_util.Site.Injected site ->
         Aeq_exec.Query_error.raise_error (Aeq_exec.Query_error.Injected site)
     in
     let initial_modes =

@@ -25,7 +25,6 @@ val create :
   ?n_threads:int ->
   ?cost_model:Aeq_backend.Cost_model.t ->
   ?chunk_size:int ->
-  ?supervised:bool ->
   ?restart_policy:Aeq_exec.Supervisor.policy ->
   unit ->
   t
@@ -38,11 +37,9 @@ val create :
     [n_threads - 1] of them, plus one more once the first query is
     {!submit}ted, so an engine that serves runs [n_threads] domains
     besides its callers and a 1-thread engine that only runs {!query}
-    runs none. [supervised] (default [true]) runs every worker under
-    an {!Aeq_exec.Supervisor} crash barrier with self-healing restarts
-    governed by [restart_policy] (default
-    {!Aeq_exec.Supervisor.default_policy}); [false] reverts to bare
-    domains (the supervision-overhead benchmark). *)
+    runs none. Every worker runs under an {!Aeq_exec.Supervisor} crash
+    barrier with self-healing restarts governed by [restart_policy]
+    (default {!Aeq_exec.Supervisor.default_policy}). *)
 
 val load_tpch : ?seed:int64 -> t -> scale_factor:float -> unit
 

@@ -131,13 +131,12 @@ let promote t ~mode:m =
       | None ->
         let compiled =
           try
-            (* literal site strings, one per branch: the failpoint
-               catalog lint cross-checks every [hit] against
-               [Failpoints.builtin_sites] and can't see through a
-               mode-to-string helper *)
+            (* literal site strings, one per branch: the site catalog
+               lint cross-checks every [hit] against [Site.catalog]
+               and can't see through a mode-to-string helper *)
             (match m with
-            | CM.Unopt -> Aeq_util.Failpoints.hit "compile.unopt"
-            | _ -> Aeq_util.Failpoints.hit "compile.opt");
+            | CM.Unopt -> Aeq_util.Site.hit "compile.unopt"
+            | _ -> Aeq_util.Site.hit "compile.opt");
             match m with
             | CM.Unopt ->
               (* the bytecode program is already translated; closure-

@@ -112,7 +112,7 @@ val promote : t -> mode:Aeq_backend.Cost_model.mode -> float
     cached for future executions, and installed. [Bytecode] reinstalls
     the interpreter (free).
 
-    Compilation is fallible: the failpoints ["compile.unopt"] /
+    Compilation is fallible: the fault sites ["compile.unopt"] /
     ["compile.opt"] are hit just before compiling, and any exception
     (injected or real) blacklists the mode before propagating — the
     binding stays in its current variant and the mode is never

@@ -50,7 +50,6 @@ type posted = { serve : worker:string -> unit; abandon : string -> unit }
 
 type t = {
   n_threads : int;
-  supervised : bool;
   restart_policy : Supervisor.policy;
   lock : Aeq_race.Lock.t;
   work : Condition.t; (* new job posted / job list changed *)
@@ -62,8 +61,7 @@ type t = {
       (* per-worker claimed-job slot, written under [lock] — what the
          supervisor's reclaim repairs when worker [w] crashes *)
   mutable spawned : int; (* workers spawned so far *)
-  mutable domains : unit Domain.t list; (* unsupervised mode *)
-  mutable supervisors : Supervisor.t list; (* supervised mode, newest first *)
+  mutable supervisors : Supervisor.t list; (* newest first *)
   mutable gave_up : int; (* workers whose restart budget ran out *)
   closed : bool Atomic.t;
   active_jobs : int Atomic.t;
@@ -89,11 +87,10 @@ let run_participant j ~tid =
   try
     (* the pick is where a worker commits to a job — faults and
        interleavings here exercise the claimed-but-not-started window *)
-    Aeq_util.Failpoints.hit "pool.pick";
-    Aeq_util.Yieldpoint.yield "pool.pick";
+    Aeq_util.Site.hit "pool.pick";
     j.fn ~tid
   with
-  | e when Aeq_util.Failpoints.is_crash e ->
+  | e when Aeq_util.Site.is_crash e ->
     (* not folded into the job error: a crash must stay lethal to the
        participant's domain so the supervision layer is what handles
        it (worker: reclaim + restart; caller: its own supervisor) *)
@@ -191,23 +188,17 @@ let spawn_worker t =
   Aeq_race.write ~site:"pool.spawn" t.current_loc;
   let w = t.spawned in
   t.spawned <- w + 1;
-  if t.supervised then
-    t.supervisors <-
-      (Supervisor.spawn ~policy:t.restart_policy ~name:(worker_name w)
-         ~on_crash:(worker_reclaim t w (worker_name w))
-         ~on_give_up:(worker_gave_up t) (worker_loop t w) [@lint.allow "domain-spawn"])
-      :: t.supervisors
-  else
-    t.domains <-
-      (Aeq_race.spawn (worker_loop t w) [@lint.allow "domain-spawn"]) :: t.domains
+  t.supervisors <-
+    (Supervisor.spawn ~policy:t.restart_policy ~name:(worker_name w)
+       ~on_crash:(worker_reclaim t w (worker_name w))
+       ~on_give_up:(worker_gave_up t) (worker_loop t w) [@lint.allow "domain-spawn"])
+    :: t.supervisors
 
-let create ?(supervised = true) ?(restart_policy = Supervisor.default_policy)
-    ~n_threads () =
+let create ?(restart_policy = Supervisor.default_policy) ~n_threads () =
   let n_threads = Stdlib.max 1 n_threads in
   let t =
     {
       n_threads;
-      supervised;
       restart_policy;
       lock = Aeq_race.Lock.create "pool.lock";
       work = Condition.create ();
@@ -217,7 +208,6 @@ let create ?(supervised = true) ?(restart_policy = Supervisor.default_policy)
       stop = false;
       current = Array.make n_threads None;
       spawned = 0;
-      domains = [];
       supervisors = [];
       gave_up = 0;
       closed = Atomic.make false;
@@ -350,8 +340,7 @@ let shutdown t =
           take_posted t)
     in
     List.iter (fun p -> p.abandon "pool is shut down") orphans;
-    (* no spawn after [stop]: the worker lists are final *)
+    (* no spawn after [stop]: the worker list is final *)
     List.iter Supervisor.stop t.supervisors;
-    List.iter Aeq_race.join t.domains;
     List.iter Supervisor.join t.supervisors
   end

@@ -20,16 +20,8 @@
 
 type t
 
-val create :
-  ?supervised:bool ->
-  ?restart_policy:Supervisor.policy ->
-  n_threads:int ->
-  unit ->
-  t
-(** [supervised] defaults to [true]. [false] reverts to bare worker
-    domains — for the supervision-overhead benchmark only; a crashed
-    worker then stays dead and its job hangs. [restart_policy]
-    defaults to {!Supervisor.default_policy}. *)
+val create : ?restart_policy:Supervisor.policy -> n_threads:int -> unit -> t
+(** [restart_policy] defaults to {!Supervisor.default_policy}. *)
 
 val n_threads : t -> int
 
@@ -82,11 +74,10 @@ val check : t -> string list
 
 val health_reasons : t -> string list
 (** One reason per supervised worker currently crashed-and-backing-off
-    or failed. Empty = all workers healthy (or pool unsupervised). *)
+    or failed. Empty = all workers healthy. *)
 
 val supervisors : t -> Supervisor.t list
-(** Worker supervisors, for stats, tests and introspection. Empty when
-    [supervised = false]. *)
+(** Worker supervisors, for stats, tests and introspection. *)
 
 val shutdown : t -> unit
 (** Abandon the posted jobs no worker has taken, then stop and join

@@ -11,7 +11,7 @@ type t =
       (** a runtime trap from query code: division by zero, overflow,
           abort *)
   | Injected of string
-      (** a fault armed through [Aeq_util.Failpoints] fired at the named
+      (** a fault armed through [Aeq_util.Site] fired at the named
           site — the chaos-testing stand-in for a transient
           infrastructure failure. The wire protocol encodes it as the
           trap ["injected fault at <site>"]. *)

@@ -319,7 +319,7 @@ let attempt_loop t tk eff_mode =
     in
     match t.exec ~mode:eff_mode ~cancel:tk.tk_cancel ~timeout_seconds tk.tk_sql with
     | r -> (Ok r, cf_acc + r.Driver.stats.Driver.compile_failures)
-    | exception e when Aeq_util.Failpoints.is_crash e ->
+    | exception e when Aeq_util.Site.is_crash e ->
       (* an injected domain kill must stay lethal: let it unwind to
          the crash path of [serve_next] (answer + worker restart), not
          this conversion layer *)
@@ -469,8 +469,7 @@ let serve_next t ~worker =
         (* the ticket is now reclaimable: a crash from here on is
            answered below. The dispatch site sits exactly in that
            window so the [Crash] action exercises the reclaim path. *)
-        Aeq_util.Failpoints.hit "sched.dispatch";
-        Aeq_util.Yieldpoint.yield "sched.dispatch";
+        Aeq_util.Site.hit "sched.dispatch";
         with_lock tk.tk_lock (fun () ->
             Aeq_race.write ~site:"sched.dispatch" tk.tk_loc;
             tk.tk_state <- Running;

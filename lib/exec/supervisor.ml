@@ -1,5 +1,5 @@
 module Clock = Aeq_util.Clock
-module Yieldpoint = Aeq_util.Yieldpoint
+module Site = Aeq_util.Site
 module Waiter = Aeq_util.Waiter
 module Obs = Aeq_obs
 
@@ -195,8 +195,8 @@ let backoff_wait t seconds =
     else
       let remaining = deadline -. Clock.now () in
       if remaining <= 0.0 then ()
-      else if Yieldpoint.enabled () then begin
-        Yieldpoint.yield "supervisor.backoff";
+      else if Site.simulating () then begin
+        Site.hit "supervisor.backoff";
         go ()
       end
       else begin
@@ -212,7 +212,7 @@ let backoff_wait t seconds =
    may take the owner's locks (the crash released them on the way up;
    critical sections are [Fun.protect]ed throughout the engine). *)
 let handle_crash t exn =
-  Yieldpoint.yield "supervisor.crash";
+  Site.hit "supervisor.crash";
   obs_count "aeq_supervisor_crashes_total"
     ~help:"Unstructured exceptions caught by a domain supervisor barrier."
     ~domain:t.sv_name;
@@ -278,7 +278,7 @@ let handle_crash t exn =
             true
           end)
     in
-    if still_go then Yieldpoint.yield "supervisor.restart";
+    if still_go then Site.hit "supervisor.restart";
     still_go
   end
   else begin

@@ -15,9 +15,9 @@ type scan = {
 let all_rules =
   [
     "raw-mutex";
-    "yield-in-lock";
+    "site-in-lock";
     "sleep-in-exec";
-    "failpoint-literal";
+    "site-literal";
     "declare-literal";
     "domain-spawn";
   ]
@@ -123,20 +123,15 @@ let lint_source ?(rules = all_rules) ~filename source =
         add loc "domain-spawn"
           "domain spawned outside the worker pool: the engine's domains \
            are its Pool workers; post the work to the pool instead"
-    | _ when ends_with ~suffix:[ "Yieldpoint"; "yield" ] path ->
-      if active "yield-in-lock" && !crit > 0 then
-        add loc "yield-in-lock"
-          "Yieldpoint.yield inside a critical section: a simulated task \
-           suspended while holding a lock deadlocks every peer behind it"
     | _ -> ());
     (* non-literal arguments to hit/declare are caught at the
        application nodes below; a bare reference to either function
        (partial application, higher-order use) defeats the catalog
        cross-check just the same *)
-    if ends_with ~suffix:[ "Failpoints"; "hit" ] path then
-      if active "failpoint-literal" then
-        add loc "failpoint-literal"
-          "Failpoints.hit referenced without a literal site string: the \
+    if ends_with ~suffix:[ "Site"; "hit" ] path then
+      if active "site-literal" then
+        add loc "site-literal"
+          "Site.hit referenced without a literal site string: the \
            catalog lint cannot see this site"
       else ();
     if ends_with ~suffix:[ "Aeq_race"; "declare" ] path then
@@ -153,17 +148,20 @@ let lint_source ?(rules = all_rules) ~filename source =
     (match e.pexp_desc with
     | Pexp_apply
         ({ pexp_desc = Pexp_ident { txt = fn; _ }; _ }, (_, arg) :: _)
-      when ends_with ~suffix:[ "Failpoints"; "hit" ] (flatten fn) -> (
-      match string_literal arg with
+      when ends_with ~suffix:[ "Site"; "hit" ] (flatten fn) ->
+      if active "site-in-lock" && !crit > 0 then
+        add e.pexp_loc "site-in-lock"
+          "Site.hit inside a critical section: a simulated task suspended \
+           while holding a lock deadlocks every peer behind it";
+      (match string_literal arg with
       | Some site ->
-        hit_sites := (site, e.pexp_loc.loc_start.pos_lnum) :: !hit_sites;
-        it.expr it arg
+        hit_sites := (site, e.pexp_loc.loc_start.pos_lnum) :: !hit_sites
       | None ->
-        if active "failpoint-literal" then
-          add e.pexp_loc "failpoint-literal"
-            "Failpoints.hit with a computed site string: pass one literal \
-             per call site so the catalog cross-check can see it";
-        it.expr it arg)
+        if active "site-literal" then
+          add e.pexp_loc "site-literal"
+            "Site.hit with a computed site string: pass one literal per \
+             call site so the catalog cross-check can see it");
+      it.expr it arg
     | Pexp_apply
         ({ pexp_desc = Pexp_ident { txt = fn; _ }; _ }, (_, arg) :: rest)
       when ends_with ~suffix:[ "Aeq_race"; "declare" ] (flatten fn) ->
@@ -207,6 +205,24 @@ let lint_source ?(rules = all_rules) ~filename source =
     sc_hit_sites = List.rev !hit_sites;
     sc_declares = List.rev !declares;
   }
+
+(* ---- probe-site catalog ---------------------------------------------- *)
+
+let catalog_problems ~catalog ~hits =
+  let stray (site, path, line) =
+    if List.mem site catalog then None
+    else
+      Some (Printf.sprintf "%s:%d: [site-catalog] hit site %S is not in Site.catalog" path line site)
+  and dead site =
+    if List.exists (fun (s, _, _) -> s = site) hits then None
+    else
+      Some
+        (Printf.sprintf
+           "lib/util/site.ml: [site-catalog] catalog site %S has no Site.hit call in lib/ \
+            — dead catalog entry"
+           site)
+  in
+  List.filter_map stray hits @ List.filter_map dead catalog
 
 (* ---- DESIGN.md table extraction -------------------------------------- *)
 

@@ -2,7 +2,7 @@
 
     A Parsetree walk (compiler-libs) enforcing the locking discipline
     that the dynamic race detector ([Aeq_race]) checks at runtime —
-    the two analyses share one declaration registry and one failpoint
+    the two analyses share one declaration registry and one probe-site
     catalog, and CI runs both.
 
     Per-file rules (selectable via [?rules]):
@@ -12,16 +12,16 @@
       through [Aeq_race.Lock] so every acquire/release feeds the
       lockset and vector-clock state; a raw mutex is invisible to the
       detector and a hole in the analysis.
-    - ["yield-in-lock"]: no [Yieldpoint.yield] lexically inside an
-      [Aeq_race.Lock.with_] / [with_lock] / [locked] critical section.
-      Under simulation a yielded task suspends; suspending while
-      holding a lock deadlocks every peer behind it.
+    - ["site-in-lock"]: no [Site.hit] lexically inside an
+      [Aeq_race.Lock.with_] / [with_lock] / [locked] critical section,
+      whatever the site's roles. Under simulation a yielded task
+      suspends; suspending while holding a lock deadlocks every peer
+      behind it.
     - ["sleep-in-exec"]: no [Unix.sleepf]/[Unix.sleep] — supervised
       paths must block on [Aeq_util.Waiter] so shutdown and crash
       reclaim can interrupt the wait.
-    - ["failpoint-literal"]: every [Failpoints.hit] call site must
-      pass a string literal, so the site catalog cross-check (CLI
-      level) can see it.
+    - ["site-literal"]: every [Site.hit] call site must pass a string
+      literal, so the site catalog cross-check can see it.
     - ["declare-literal"]: every [Aeq_race.declare] must name its
       location with a string literal, for the same reason.
     - ["domain-spawn"]: no [Domain.spawn], [Aeq_race.spawn] or
@@ -31,9 +31,9 @@
       it at their call sites.
 
     A finding can be waived for one subtree with
-    [(expr [@lint.allow "rule"])]. Whole-tree cross-checks (failpoint
-    catalog coverage, registry/DESIGN.md coverage) live in the
-    [aeq_lint] executable, which aggregates the per-file scans. *)
+    [(expr [@lint.allow "rule"])]. Whole-tree cross-checks (site
+    catalog coverage, registry/DESIGN.md coverage) run in the
+    [aeq_lint] executable over the aggregated per-file scans. *)
 
 type finding = {
   f_file : string;
@@ -46,7 +46,7 @@ type finding = {
 type scan = {
   sc_findings : finding list; (* source order *)
   sc_hit_sites : (string * int) list;
-      (* literal [Failpoints.hit] sites with their lines *)
+      (* literal [Site.hit] sites with their lines *)
   sc_declares : (string * int) list;
       (* literal [Aeq_race.declare] location names with their lines *)
 }
@@ -60,6 +60,14 @@ val lint_source : ?rules:string list -> filename:string -> string -> scan
 (** Parse [source] and apply [rules] (default: all). A syntax error
     yields a single ["parse"] finding rather than an exception: the
     lint must not crash on a tree it cannot read. *)
+
+val catalog_problems :
+  catalog:string list -> hits:(string * string * int) list -> string list
+(** Cross-check the literal [Site.hit] calls of a tree, as
+    [(site, file, line)], against the site catalog in both directions:
+    one line per call naming a site outside the catalog, and one per
+    catalog entry no call hits (a dead entry — a chaos run arming it,
+    or a simulation relying on it, would test nothing). *)
 
 val design_table_names : string -> string list
 (** Extract the location names (first backticked column cell of each

@@ -138,6 +138,29 @@ let promote a b =
   | Dtype.Bool, Dtype.Bool -> (a, b, Dtype.Bool)
   | _ -> fail "type mismatch: %s vs %s" (Dtype.to_string da) (Dtype.to_string db)
 
+(* Bind both operands of [op], left to right. A string literal compared
+   against a non-literal is looked up, not interned: a string no row
+   holds gets code -1, which no row holds either, so planning never
+   grows the shared dictionary. Projected literals (and
+   literal-vs-literal comparisons) still intern. *)
+let operands env op bind_operand a b =
+  let lookup s =
+    let code = Aeq_rt.Dict.find (Aeq_storage.Catalog.dict env.catalog) s in
+    Scalar.Const (Option.value code ~default:(-1L), Dtype.Str)
+  in
+  let lit = function Ast.Lit_str _ -> true | _ -> false in
+  let cmp =
+    match op with Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> true | _ -> false
+  in
+  match (a, b) with
+  | Ast.Lit_str s, o when cmp && not (lit o) ->
+    let so = bind_operand o in
+    (lookup s, so)
+  | o, Ast.Lit_str s when cmp && not (lit o) -> (bind_operand o, lookup s)
+  | _ ->
+    let sa = bind_operand a in
+    (sa, bind_operand b)
+
 (* Bind an AST expression that must not contain aggregates. *)
 let rec bind env (e : Ast.expr) : Scalar.t =
   match e with
@@ -202,7 +225,7 @@ let rec bind env (e : Ast.expr) : Scalar.t =
   | Ast.Agg _ -> fail "aggregate in invalid position"
 
 and bind_bin env op a b =
-  let sa = bind env a and sb = bind env b in
+  let sa, sb = operands env op (bind env) a b in
   match op with
   | Ast.And | Ast.Or ->
     if Scalar.dtype sa <> Dtype.Bool || Scalar.dtype sb <> Dtype.Bool then
@@ -318,7 +341,7 @@ let rec rewrite_agg env st (e : Ast.expr) : Scalar.t =
 and rewrite_agg_structural env st (e : Ast.expr) : Scalar.t =
   match e with
   | Ast.Bin (op, a, b) -> (
-    let ra = rewrite_agg env st a and rb = rewrite_agg env st b in
+    let ra, rb = operands env op (rewrite_agg env st) a b in
     match op with
     | Ast.And | Ast.Or -> Scalar.Bin (op, ra, rb, Dtype.Bool)
     | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->

@@ -74,23 +74,22 @@ let () = Aeq_race.declare "rt.context.global_current" Aeq_race.Domain_local
 
 let global_loc = Aeq_race.locate "rt.context.global_current"
 
-let set_current t =
+let install v =
   if Atomic.get unsafe_global_current then begin
-    Aeq_race.write ~site:"context.set_current" global_loc;
-    global_current := Some t
+    Aeq_race.write ~site:"context.install" global_loc;
+    global_current := v
   end
-  else Domain.DLS.get current_key := Some t
+  else Domain.DLS.get current_key := v
 
-let clear_current () =
-  if Atomic.get unsafe_global_current then begin
-    Aeq_race.write ~site:"context.clear_current" global_loc;
-    global_current := None
-  end
-  else Domain.DLS.get current_key := None
+let set_current t = install (Some t)
 
-let current () =
-  if Atomic.get unsafe_global_current then begin
-    Aeq_race.read ~site:"context.current" global_loc;
-    !global_current
-  end
-  else !(Domain.DLS.get current_key)
+let clear_current () = install None
+
+let local_current () = !(Domain.DLS.get current_key)
+
+let shared_current () =
+  Aeq_race.read ~site:"context.current" global_loc;
+  !global_current
+
+let current_reader () =
+  if Atomic.get unsafe_global_current then shared_current else local_current

@@ -49,7 +49,10 @@ val set_current : t -> unit
 
 val clear_current : unit -> unit
 
-val current : unit -> t option
+val current_reader : unit -> unit -> t option
+(** A reader of this domain's current context. {!unsafe_global_current}
+    is read once, here, so the per-row {!Symbols} helpers that call the
+    reader never load it. *)
 
 val unsafe_global_current : bool Atomic.t
 (** TEST ONLY. When set, the "current context" degenerates to one
@@ -58,4 +61,5 @@ val unsafe_global_current : bool Atomic.t
     stomped each other's installation and wrote into the wrong query's
     runtime objects. The deterministic simulator flips this to prove
     the harness finds that race from a seed. Nothing in the engine
-    sets it; leave it alone. *)
+    sets it; leave it alone. Resolvers built while it is set keep
+    reading the global ref after it is cleared. *)

@@ -29,7 +29,8 @@ module R = Aeq_vm.Rt_fn
    operands are read from the caller's slots into unboxed locals and
    the result is written back, so no [int64] crosses a call. *)
 let resolver (ctx : Context.t) : R.resolver =
-  let cur () = match Context.current () with Some c -> c | None -> ctx in
+  let current = Context.current_reader () in
+  let cur () = match current () with Some c -> c | None -> ctx in
   let[@inline] int regs off = Int64.to_int (R.arg regs off) in
   let[@inline] ret_int regs dst v = R.ret regs dst (Int64.of_int v) in
   let helper arity fn = Some { R.arity; fn } in

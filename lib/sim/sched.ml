@@ -3,8 +3,8 @@
 
    The real engine code runs unmodified on real domains; determinism
    comes from token passing. Exactly one task holds the token at any
-   instant. At every instrumented yield point (Aeq_util.Yieldpoint
-   sites on the lock-free hot path: lease acquire/release, morsel
+   instant. At every instrumented yield point (Aeq_util.Site
+   yield sites on the lock-free hot path: lease acquire/release, morsel
    boundaries, context install, job pick, plan-cache lookup,
    single-flight compile) the running task hands the token back to the
    scheduler, which picks the next task — by seeded PRNG, or by a
@@ -145,7 +145,7 @@ let run ?(max_steps = default_max_steps) ?schedule ?(checkers = []) ~seed
   in
   (* install the handler first: it raises if another harness is live,
      and at that point nothing needs unwinding yet *)
-  Aeq_util.Yieldpoint.install yield_handler;
+  Aeq_util.Site.install yield_handler;
   Aeq_util.Clock.set_source read_clock;
   Atomic.set current_sched (Some s);
   let decisions = ref [] and trace = ref [] in
@@ -180,7 +180,7 @@ let run ?(max_steps = default_max_steps) ?schedule ?(checkers = []) ~seed
           Condition.signal tk.tk_cond)
         s.tasks;
       Mutex.unlock s.lock;
-      Aeq_util.Yieldpoint.uninstall ();
+      Aeq_util.Site.uninstall ();
       Aeq_util.Clock.reset_source ();
       Atomic.set current_sched None)
     (fun () ->

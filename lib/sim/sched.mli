@@ -3,7 +3,7 @@
     Runs user-supplied tasks (closures over real engine calls) on real
     domains under token passing: exactly one task runs at a time, and
     the token changes hands only at the engine's instrumented yield
-    points ([Aeq_util.Yieldpoint] sites — lease acquire/release,
+    points ([Aeq_util.Site] yield sites — lease acquire/release,
     morsel boundaries, context install, pool job pick, plan-cache
     lookup, single-flight compile, backpressure waits). The scheduler
     picks the next task with a seeded PRNG, so an interleaving is a
@@ -14,7 +14,7 @@
     - engines must run with [n_threads = 1] (no untracked pool
       domains; the submitting task executes pipeline jobs inline);
     - blocking waits on the simulated path spin through yields when
-      {!Aeq_util.Yieldpoint.enabled} (already true of the engine's
+      {!Aeq_util.Site.simulating} (already true of the engine's
       single-flight wait and arena backpressure);
     - yield points never sit inside critical sections;
     - use a non-simulating cost model ([Cost_model.off] or

@@ -6,7 +6,7 @@
 module CM = Aeq_backend.Cost_model
 module Driver = Aeq_exec.Driver
 module QE = Aeq_exec.Query_error
-module FP = Aeq_util.Failpoints
+module FP = Aeq_util.Site
 
 (* every test must leave the global registry clean *)
 let with_clean_failpoints f =
@@ -117,6 +117,35 @@ let test_failpoints_parse () =
         Alcotest.(check bool)
           "message lists valid sites" true
           (has_needle "driver.morsel" && has_needle "arena.lease")))
+
+(* one probe per site: a fault-only site never yields, a yield-only
+   site cannot be armed, and a site with both roles faults before it
+   yields *)
+let test_site_roles () =
+  with_clean_failpoints (fun () ->
+      let yielded = ref [] in
+      FP.with_handler
+        (fun site -> yielded := site :: !yielded)
+        (fun () ->
+          Alcotest.(check bool) "simulating" true (FP.simulating ());
+          FP.hit "compile.opt";
+          FP.hit "driver.ctx_install";
+          FP.hit "driver.morsel";
+          FP.activate ~on_hit:1 ~persistent:false "driver.morsel" FP.Fail;
+          (match FP.hit "driver.morsel" with
+          | () -> Alcotest.fail "armed driver.morsel must fire"
+          | exception FP.Injected _ -> ());
+          FP.hit "driver.morsel");
+      Alcotest.(check bool) "handler gone" false (FP.simulating ());
+      Alcotest.(check (list string))
+        "yields: yield-only and both, not fault-only, not after a fault"
+        [ "driver.ctx_install"; "driver.morsel"; "driver.morsel" ]
+        (List.rev !yielded);
+      match FP.activate "engine.cache" FP.Fail with
+      | () -> Alcotest.fail "a yield-only site must not be armable"
+      | exception Invalid_argument _ ->
+        Alcotest.(check bool) "not listed as armable" false
+          (List.mem "engine.cache" (FP.valid_sites ())))
 
 (* ---- pool lifecycle -------------------------------------------------- *)
 
@@ -439,6 +468,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_failpoints_basic;
           Alcotest.test_case "nth hit" `Quick test_failpoints_nth_hit;
           Alcotest.test_case "parse" `Quick test_failpoints_parse;
+          Alcotest.test_case "site roles" `Quick test_site_roles;
         ] );
       ( "lifecycle",
         [

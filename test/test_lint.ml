@@ -28,18 +28,24 @@ let test_raw_mutex () =
   check_rules "rule selection" []
     (scan ~rules:[ "sleep-in-exec" ] "let m = Mutex.create ()")
 
-let test_yield_in_lock () =
-  check_rules "yield inside with_ flagged" [ "yield-in-lock" ]
+let test_site_in_lock () =
+  check_rules "hit inside with_ flagged" [ "site-in-lock" ]
     (scan
-       "let f l = Aeq_race.Lock.with_ l (fun () -> Aeq_util.Yieldpoint.yield \
-        ())");
-  check_rules "yield inside with_lock helper flagged" [ "yield-in-lock" ]
-    (scan "let f t = with_lock t (fun () -> Yieldpoint.yield ())");
-  check_rules "yield outside a critical section is fine" []
-    (scan "let f () = Aeq_util.Yieldpoint.yield ()");
-  check_rules "yield after the critical section is fine" []
+       "let f l = Aeq_race.Lock.with_ l (fun () -> Aeq_util.Site.hit \
+        \"driver.morsel\")");
+  check_rules "hit inside with_lock helper flagged" [ "site-in-lock" ]
+    (scan "let f t = with_lock t (fun () -> Site.hit \"pool.pick\")");
+  (* the rule does not ask the catalog: a fault-only site is flagged
+     like any other *)
+  check_rules "fault-only hit inside with_ flagged" [ "site-in-lock" ]
     (scan
-       "let f l = Aeq_race.Lock.with_ l (fun () -> ()); Yieldpoint.yield ()")
+       "let f l = Aeq_race.Lock.with_ l (fun () -> Aeq_util.Site.hit \
+        \"compile.opt\")");
+  check_rules "hit outside a critical section is fine" []
+    (scan "let f () = Aeq_util.Site.hit \"driver.morsel\"");
+  check_rules "hit after the critical section is fine" []
+    (scan
+       "let f l = Aeq_race.Lock.with_ l (fun () -> ()); Site.hit \"arena.lease\"")
 
 let test_sleep_in_exec () =
   check_rules "Unix.sleepf flagged" [ "sleep-in-exec" ]
@@ -49,16 +55,48 @@ let test_sleep_in_exec () =
   check_rules "Waiter.wait is the disciplined spelling" []
     (scan "let f w = ignore (Aeq_util.Waiter.wait w 0.01)")
 
-let test_failpoint_literal () =
-  let sc = scan "let f () = Aeq_util.Failpoints.hit \"compile.opt\"" in
+let test_site_literal () =
+  let sc = scan "let f () = Aeq_util.Site.hit \"compile.opt\"" in
   check_rules "literal site is clean" [] sc;
   Alcotest.(check (list string))
     "literal site collected" [ "compile.opt" ]
     (List.map fst sc.L.sc_hit_sites);
-  check_rules "computed site flagged" [ "failpoint-literal" ]
-    (scan "let f m = Aeq_util.Failpoints.hit (site_of m)");
-  check_rules "bare reference flagged" [ "failpoint-literal" ]
-    (scan "let f = List.iter Aeq_util.Failpoints.hit")
+  check_rules "computed site flagged" [ "site-literal" ]
+    (scan "let f m = Aeq_util.Site.hit (site_of m)");
+  check_rules "bare reference flagged" [ "site-literal" ]
+    (scan "let f = List.iter Aeq_util.Site.hit")
+
+(* the whole-tree cross-check against the real catalog *)
+let test_site_catalog () =
+  let catalog = List.map fst Aeq_util.Site.catalog in
+  let hits_of src =
+    List.map (fun (s, l) -> (s, "test.ml", l)) (scan src).L.sc_hit_sites
+  in
+  let all_hit = List.map (fun s -> (s, "lib/x.ml", 1)) catalog in
+  Alcotest.(check (list string))
+    "every entry hit, every hit listed" []
+    (L.catalog_problems ~catalog ~hits:all_hit);
+  Alcotest.(check int)
+    "a hit outside the catalog is flagged" 1
+    (List.length
+       (L.catalog_problems ~catalog
+          ~hits:(hits_of "let f () = Aeq_util.Site.hit \"driver.morsle\"" @ all_hit)));
+  (* a yield-only entry is checked like a fault site *)
+  Alcotest.(check bool) "driver.ctx_install is yield-only" true
+    (List.assoc "driver.ctx_install" Aeq_util.Site.catalog = Aeq_util.Site.Yield);
+  match
+    L.catalog_problems ~catalog
+      ~hits:(List.filter (fun (s, _, _) -> s <> "driver.ctx_install") all_hit)
+  with
+  | [ m ] ->
+    let has needle =
+      let nl = String.length needle and ml = String.length m in
+      let rec at i = i + nl <= ml && (String.sub m i nl = needle || at (i + 1)) in
+      at 0
+    in
+    Alcotest.(check bool) ("dead entry flagged: " ^ m) true
+      (has "driver.ctx_install" && has "dead")
+  | ms -> Alcotest.failf "expected one dead-entry line, got %d" (List.length ms)
 
 let test_declare_literal () =
   let sc =
@@ -158,7 +196,7 @@ let test_shipped_tree_is_clean () =
       (fun path ->
         let rules =
           if under "race" path || under "sim" path then
-            [ "failpoint-literal"; "declare-literal"; "domain-spawn" ]
+            [ "site-literal"; "declare-literal"; "domain-spawn" ]
           else if under "exec" path || under "mem" path then L.all_rules
           else List.filter (fun r -> r <> "sleep-in-exec") L.all_rules
         in
@@ -175,9 +213,9 @@ let () =
       ( "rules",
         [
           Alcotest.test_case "raw-mutex" `Quick test_raw_mutex;
-          Alcotest.test_case "yield-in-lock" `Quick test_yield_in_lock;
+          Alcotest.test_case "site-in-lock" `Quick test_site_in_lock;
           Alcotest.test_case "sleep-in-exec" `Quick test_sleep_in_exec;
-          Alcotest.test_case "failpoint-literal" `Quick test_failpoint_literal;
+          Alcotest.test_case "site-literal" `Quick test_site_literal;
           Alcotest.test_case "declare-literal" `Quick test_declare_literal;
           Alcotest.test_case "domain-spawn" `Quick test_domain_spawn;
           Alcotest.test_case "waiver" `Quick test_waiver;
@@ -185,6 +223,7 @@ let () =
         ] );
       ( "integration",
         [
+          Alcotest.test_case "site catalog" `Quick test_site_catalog;
           Alcotest.test_case "design table" `Quick test_design_table;
           Alcotest.test_case "shipped tree clean" `Quick
             test_shipped_tree_is_clean;

@@ -247,6 +247,37 @@ let test_estimated_build_rows () =
        (fun l -> String.length l > 10 && String.ends_with ~suffix:"est. 1 rows" l)
        (String.split_on_char '\n' text))
 
+(* a compared literal no row holds is looked up, not interned: a
+   long-running server's dictionary does not grow with the statements
+   it plans, and every LIKE bitmap stays the size of the data *)
+let test_compared_literals_not_interned () =
+  let e = Aeq.Engine.create ~n_threads:1 ~cost_model:Aeq_backend.Cost_model.off () in
+  Fun.protect ~finally:(fun () -> Aeq.Engine.close e) @@ fun () ->
+  Aeq.Engine.load_tpch e ~scale_factor:0.001;
+  let dict = Aeq_storage.Catalog.dict (Aeq.Engine.catalog e) in
+  let size0 = Aeq_rt.Dict.size dict in
+  let rows sql =
+    List.length (Aeq.Engine.query e ~mode:Aeq_exec.Driver.Bytecode sql).Aeq_exec.Driver.rows
+  in
+  for i = 1 to 1000 do
+    let sql = Printf.sprintf "select n_name from nation where n_name = 'nosuch%d'" i in
+    Alcotest.(check int) sql 0 (rows sql)
+  done;
+  Alcotest.(check int) "dictionary unchanged" size0 (Aeq_rt.Dict.size dict);
+  Alcotest.(check int) "<> an absent string keeps every row" 25
+    (rows "select n_name from nation where n_name <> 'nosuch'");
+  Alcotest.(check int) "HAVING against an absent string" 0
+    (rows
+       "select n_name, count(*) as c from nation group by n_name having n_name = \
+        'nosuch'");
+  Alcotest.(check int) "present strings still match" 1
+    (rows "select n_name from nation where n_name = 'GERMANY'");
+  Alcotest.(check int) "still unchanged" size0 (Aeq_rt.Dict.size dict);
+  (* a projected literal is output, so it is interned *)
+  Alcotest.(check int) "projected literal" 25
+    (rows "select 'projected' as p from nation");
+  Alcotest.(check int) "projected literal interned" (size0 + 1) (Aeq_rt.Dict.size dict)
+
 let () =
   Alcotest.run "plan"
     [
@@ -276,6 +307,11 @@ let () =
         [
           Alcotest.test_case "decimal promotion" `Quick test_decimal_promotion;
           Alcotest.test_case "decimal arithmetic" `Quick test_scalar_eval_decimal_rules;
+        ] );
+      ( "dictionary",
+        [
+          Alcotest.test_case "compared literals not interned" `Quick
+            test_compared_literals_not_interned;
         ] );
       ("explain", [ Alcotest.test_case "structure" `Quick test_explain_structure ]);
     ]
