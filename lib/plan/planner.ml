@@ -138,11 +138,15 @@ let promote a b =
   | Dtype.Bool, Dtype.Bool -> (a, b, Dtype.Bool)
   | _ -> fail "type mismatch: %s vs %s" (Dtype.to_string da) (Dtype.to_string db)
 
-(* Bind both operands of [op], left to right. A string literal compared
-   against a non-literal is looked up, not interned: a string no row
-   holds gets code -1, which no row holds either, so planning never
-   grows the shared dictionary. Projected literals (and
-   literal-vs-literal comparisons) still intern. *)
+(* Bind both operands of [op]. A string literal compared against a
+   non-literal is looked up, not interned, so planning never grows the
+   shared dictionary: a string that is in no column and in no
+   projected or CASE-produced literal gets code -1, which no value
+   holds either. The other operand is always bound first, so a CASE
+   there has interned its own arm literals (say 'zzz' in
+   [case ... then 'zzz' ... end = 'zzz']) before the lookup runs.
+   Projected literals, CASE arms and literal-vs-literal comparisons
+   still intern. *)
 let operands env op bind_operand a b =
   let lookup s =
     let code = Aeq_rt.Dict.find (Aeq_storage.Catalog.dict env.catalog) s in
@@ -156,7 +160,9 @@ let operands env op bind_operand a b =
   | Ast.Lit_str s, o when cmp && not (lit o) ->
     let so = bind_operand o in
     (lookup s, so)
-  | o, Ast.Lit_str s when cmp && not (lit o) -> (bind_operand o, lookup s)
+  | o, Ast.Lit_str s when cmp && not (lit o) ->
+    let so = bind_operand o in
+    (so, lookup s)
   | _ ->
     let sa = bind_operand a in
     (sa, bind_operand b)

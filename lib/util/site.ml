@@ -47,30 +47,10 @@ let catalog =
     ("supervisor.restart", Yield);
   ]
 
-(* test-registered fault sites; copy-on-write so the yield half can
-   read the roles without a lock (a lock there would add
-   happens-before edges the simulator's race runs must not see) *)
-let extra_sites : string list Atomic.t = Atomic.make []
-
-let role site =
-  match List.assoc_opt site catalog with
-  | Some r -> r
-  | None -> if List.mem site (Atomic.get extra_sites) then Fault else Yield
-
-let valid_sites () =
-  List.filter_map (fun (s, r) -> if r = Yield then None else Some s) catalog
-  @ List.rev (Atomic.get extra_sites)
-
-let check_site site =
-  if role site = Yield then
-    invalid_arg
-      (Printf.sprintf "Site: %S is not a fault site (valid sites: %s)" site
-         (String.concat ", " (List.sort compare (valid_sites ()))))
-
-let rec register_site site =
-  let old = Atomic.get extra_sites in
-  if not (List.mem site old || Atomic.compare_and_set extra_sites old (site :: old))
-  then register_site site
+(* A name outside the catalog — a test's own probe — plays both roles:
+   it yields under simulation, and faults if armed, which
+   [register_site] must allow first. *)
+let role site = Option.value (List.assoc_opt site catalog) ~default:Both
 
 (* One word gates both halves: twice the number of armed sites, plus
    one while a simulation handler is installed. Zero is the production
@@ -111,6 +91,34 @@ let table : (string, entry) Hashtbl.t = Hashtbl.create 8
 let prng = ref (Prng.create 0x5EEDFA117L)
 
 let locked f = Aeq_race.Lock.with_ lock f
+
+(* test-registered fault sites, newest first *)
+let extra_sites : string list ref = ref []
+
+let valid_sites () =
+  List.filter_map (fun (s, r) -> if r = Yield then None else Some s) catalog
+  @ locked (fun () ->
+        Aeq_race.read ~site:"site.valid_sites" registry_loc;
+        List.rev !extra_sites)
+
+let check_site site =
+  let armable =
+    match List.assoc_opt site catalog with
+    | Some r -> r <> Yield
+    | None ->
+      locked (fun () ->
+          Aeq_race.read ~site:"site.check_site" registry_loc;
+          List.mem site !extra_sites)
+  in
+  if not armable then
+    invalid_arg
+      (Printf.sprintf "Site: %S is not a fault site (valid sites: %s)" site
+         (String.concat ", " (List.sort compare (valid_sites ()))))
+
+let register_site site =
+  locked (fun () ->
+      Aeq_race.write ~site:"site.register_site" registry_loc;
+      if not (List.mem site !extra_sites) then extra_sites := site :: !extra_sites)
 
 let set_seed seed =
   locked (fun () ->

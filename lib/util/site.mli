@@ -17,8 +17,8 @@
     costs one atomic load and an untaken branch. Otherwise the fault
     half runs first, then the yield half: a fault-only site never
     yields, and a yield-only site cannot be armed. A name outside the
-    catalog (a test's own probe) yields and cannot be armed unless
-    {!register_site} makes it a fault site. DESIGN.md ("Probe sites")
+    catalog (a test's own probe) plays both roles: it yields under
+    simulation, and can be armed once {!register_site} has added it. DESIGN.md ("Probe sites")
     says where each catalog site sits.
 
     Instrumentation rule: never call {!hit} while a lock is held — the
@@ -83,8 +83,8 @@ val valid_sites : unit -> string list
     then the test-registered extras. *)
 
 val register_site : string -> unit
-(** Add a synthetic fault site — for tests that exercise the registry
-    itself rather than an engine site. *)
+(** Make a name outside the catalog armable — for tests that exercise
+    the registry itself rather than an engine site. *)
 
 val set_seed : int64 -> unit
 (** Re-seed the PRNG shared by every [Prob_fail] site (splitmix64).

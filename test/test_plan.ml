@@ -276,7 +276,27 @@ let test_compared_literals_not_interned () =
   (* a projected literal is output, so it is interned *)
   Alcotest.(check int) "projected literal" 25
     (rows "select 'projected' as p from nation");
-  Alcotest.(check int) "projected literal interned" (size0 + 1) (Aeq_rt.Dict.size dict)
+  Alcotest.(check int) "projected literal interned" (size0 + 1) (Aeq_rt.Dict.size dict);
+  (* a CASE interns its arm literals as it is bound, so a literal it is
+     compared with is found whichever side of the comparison it is on;
+     each statement uses literals no earlier one interned *)
+  let case_on arm = Printf.sprintf "case when n_regionkey = 0 then '%s' else 'y%s' end" arm arm in
+  List.iter
+    (fun (sql, want) -> Alcotest.(check int) sql want (rows sql))
+    [
+      (Printf.sprintf "select n_name from nation where %s = 'case1'" (case_on "case1"), 5);
+      (Printf.sprintf "select n_name from nation where 'case2' = %s" (case_on "case2"), 5);
+      (Printf.sprintf "select n_name from nation where %s <> 'case3'" (case_on "case3"), 20);
+      (Printf.sprintf "select n_name from nation where 'case4' <> %s" (case_on "case4"), 20);
+      ( Printf.sprintf
+          "select %s as k, count(*) as c from nation group by %s having %s = 'case5'"
+          (case_on "case5") (case_on "case5") (case_on "case5"),
+        1 );
+      ( Printf.sprintf
+          "select %s as k, count(*) as c from nation group by %s having 'case6' <> %s"
+          (case_on "case6") (case_on "case6") (case_on "case6"),
+        1 );
+    ]
 
 let () =
   Alcotest.run "plan"
